@@ -37,11 +37,13 @@ python3 "$ROOT/scripts/compare_bench.py" \
     --require 'verify_reduction_at_max>=3' \
     --require 'candidate_growth_exponent<=1.95' \
     "$ROOT/BENCH_sketch.json" "$ROOT/BENCH_sketch.json"
-# Planner gates: kAuto within 25% of the best static plan (geomean) and
-# no slower than always picking the static default.
+# Planner gates: kAuto within 25% of the best static plan (geomean), no
+# slower than always picking the static default, and a fresh process's
+# first kAuto run within 2x of the best static plan.
 python3 "$ROOT/scripts/compare_bench.py" \
     --require 'planner_regret_vs_oracle<=1.25' \
     --require 'planner_beats_static_default>=1.0' \
+    --require 'planner_cold_regret_vs_oracle<=2.0' \
     "$ROOT/BENCH_planner.json" "$ROOT/BENCH_planner.json"
 
 echo "=== snapshot robustness: fuzz + mmap differential + io bench ==="

@@ -148,18 +148,12 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
     return result;
   }
 
-  // Either knob may request parallelism; take the stronger one.
-  const int threads = std::max(options.threads, query.parallel.num_threads);
+  // The thread count and the sketch routing (planner/planner.h); when
+  // the sketch filter is unsound the requested algorithm runs unchanged.
+  const PlanShape shape = ExplicitJoinShape(query, options);
+  const int threads = shape.threads;
   const ParallelOptions parallel{threads, query.parallel.grain};
-  // Sketch-generated candidates replace the per-algorithm filter stage
-  // for every non-brute algorithm (verification is the shared PPJ-B
-  // kernel, so results stay bit-identical). The band index is only a
-  // sound filter when a match implies a common token, i.e. eps_doc > 0
-  // with a real threshold eps_u > 0; otherwise fall through to the
-  // requested algorithm unchanged.
-  const bool use_sketch = query.sketch.enabled &&
-                          options.algorithm != JoinAlgorithm::kBruteForce &&
-                          query.eps_doc > 0.0 && query.eps_u > 0.0;
+  const bool use_sketch = shape.sketch;
 
   // Sharded execution (core/sharded_join.h): one thread per contiguous
   // user range, built for paging over mmap'd snapshots. It runs the
@@ -178,11 +172,6 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
   // for explicit choices too, so benchmark sweeps over the static
   // variants calibrate kAuto as a side effect.
   const bool record = db.has_planner_stats();
-  PlanShape shape;
-  shape.topk = false;
-  shape.join = options.algorithm;
-  shape.sketch = use_sketch;
-  shape.threads = threads > 1 ? threads : 1;
   PlanEstimate estimate;
   double cost_units = 0.0;
   if (record) {
@@ -228,19 +217,10 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(const ObjectDatabase& db,
     return result;
   }
 
-  // Sketch candidates with the heavy-hitters verification order stand in
-  // for every index-based variant (kF/kS/kP differ only in traversal
-  // order, which sketches supersede; brute force stays brute force).
-  const bool use_sketch =
-      query.sketch.enabled && algorithm != TopKAlgorithm::kBruteForce;
+  const PlanShape shape = ExplicitTopKShape(query, algorithm);
+  const bool use_sketch = shape.sketch;
 
   const bool record = db.has_planner_stats();
-  PlanShape shape;
-  shape.topk = true;
-  shape.topk_algorithm = algorithm;
-  shape.sketch = use_sketch;
-  shape.threads = query.parallel.num_threads > 1 ? query.parallel.num_threads
-                                                 : 1;
   PlanEstimate estimate;
   double cost_units = 0.0;
   if (record) {

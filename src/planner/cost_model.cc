@@ -15,6 +15,9 @@ constexpr double kPoolOverheadUnits = 150e3;
 // Fraction of perfect scaling the work-stealing pool achieves on the
 // join workloads (memory-bound refine stages do not scale linearly).
 constexpr double kParallelEfficiency = 0.75;
+// Units per merged cell of the S-PPJ-B/C pair walk: one partition lookup
+// for each cell of its 3x3 neighbourhood.
+constexpr double kWalkUnitsPerCell = 9.0;
 
 double Clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
@@ -111,12 +114,25 @@ PlanEstimate EstimateJoinStages(const PlannerStats& stats, double eps_loc,
   est.verify_cost_per_pair =
       std::clamp(pairs_per_candidate, m, m * m) * (t + 4.0);
 
+  // All-pairs cell walk: S-PPJ-B/C merge the cell lists of every user
+  // pair, so each user's cells are walked once per other user, (U - 1) x
+  // Σ_u cells(u) in all. A user's objects rarely share an eps_loc cell,
+  // so cells(u) is its object count, capped by the cells occupied at
+  // this resolution. Lemma 1 stops a pair once its unmatched objects
+  // exceed (1 - eps_u)(|Du| + |Dv|); almost no pair matches, so S-PPJ-B's
+  // walk ends after about that share of the cells (measured 0.55-0.74 of
+  // S-PPJ-C's cells at eps_u 0.5-0.3, 0.42 at 0.6).
+  est.walk_cells = (users - 1.0) * users * std::min(m, occupied);
+  est.bounded_walk_cells = est.walk_cells * (1.0 - 0.9 * Clamp01(eps_u));
+
   est.cells_visited = NonNegative(est.cells_visited);
   est.colocated_object_pairs = NonNegative(est.colocated_object_pairs);
   est.candidate_pairs = NonNegative(est.candidate_pairs);
   est.text_survivors = NonNegative(est.text_survivors);
   est.verified_pairs = NonNegative(est.verified_pairs);
   est.verify_cost_per_pair = NonNegative(est.verify_cost_per_pair);
+  est.walk_cells = NonNegative(est.walk_cells);
+  est.bounded_walk_cells = NonNegative(est.bounded_walk_cells);
   return est;
 }
 
@@ -152,18 +168,21 @@ double EstimateShapeCost(const PlannerStats& stats, const PlanShape& shape,
         refine = max_user_pairs * brute_per_pair;
         break;
       case JoinAlgorithm::kSPPJC:
-        // No textual filter: every spatially co-located pair is refined,
-        // and every co-located object pair is touched by the cell merge.
+        // No filter at all: the cell merge runs for every user pair (an
+        // exact count, so no learned correction), walking the union of
+        // both users' cells and touching every co-located object pair.
         build = 2.0 * n;
-        refine = correction * (est.candidate_pairs * per_pair +
-                               2.0 * est.colocated_object_pairs);
+        refine = max_user_pairs * per_pair +
+                 2.0 * est.colocated_object_pairs +
+                 kWalkUnitsPerCell * est.walk_cells;
         break;
       case JoinAlgorithm::kSPPJB:
-        // Same funnel as S-PPJ-C with the odd/even row partitioning
-        // halving the duplicate neighbour visits.
+        // S-PPJ-C's pairs with the odd/even row partitioning halving the
+        // duplicate neighbour visits and Lemma 1 cutting the walk short.
         build = 2.0 * n;
-        refine = 0.9 * correction * (est.candidate_pairs * per_pair +
-                                     2.0 * est.colocated_object_pairs);
+        refine = 0.9 * (max_user_pairs * per_pair +
+                        2.0 * est.colocated_object_pairs) +
+                 kWalkUnitsPerCell * est.bounded_walk_cells;
         break;
       case JoinAlgorithm::kSPPJF:
         // Incremental inverted index: pay per stored (object, token) to
@@ -208,6 +227,14 @@ double EstimateShapeCost(const PlannerStats& stats, const PlanShape& shape,
             kPoolOverheadUnits;
   }
   return NonNegative(total);
+}
+
+bool UsesCandidateCorrection(const PlanShape& shape) {
+  if (shape.sketch) return true;
+  if (shape.topk) return shape.topk_algorithm != TopKAlgorithm::kBruteForce;
+  return shape.join != JoinAlgorithm::kSPPJB &&
+         shape.join != JoinAlgorithm::kSPPJC &&
+         shape.join != JoinAlgorithm::kBruteForce;
 }
 
 std::string PlanShapeName(const PlanShape& shape) {

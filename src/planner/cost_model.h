@@ -6,22 +6,24 @@
 //    build-time PlannerStats alone — cells visited, candidate user pairs
 //    surviving the spatial filter, survivors of the textual co-location
 //    filter, pairs reaching the refine kernel — plus a per-pair refine
-//    cost. The estimates are algorithm-independent (every S-PPJ variant
-//    walks the same candidate funnel, they differ in which stages they
-//    skip) and deliberately coarse: they only need to rank plans, and the
-//    online feedback (planner/feedback.h) corrects their scale from
-//    measured JoinStats. Guaranteed properties, relied on by the planner
-//    and pinned by tests: every estimate is finite and >= 0,
-//    candidate/verified counts are nondecreasing in eps_loc and
+//    cost and the merged cells of an all-pairs cell walk. The estimates
+//    are algorithm-independent (the filtering variants walk the same
+//    candidate funnel and differ in which stages they skip; S-PPJ-B/C
+//    walk every pair instead) and deliberately coarse: they only need to
+//    rank plans, and the online feedback (planner/feedback.h) corrects
+//    their scale from measured JoinStats. Guaranteed properties, relied
+//    on by the planner and pinned by tests: every estimate is finite and
+//    >= 0, candidate/verified counts are nondecreasing in eps_loc and
 //    nonincreasing in eps_doc and eps_u.
 //
 //  * `EstimateShapeCost` converts stage counts into abstract work units
 //    for one physical plan shape (algorithm x sketch x threads),
-//    charging each shape only for the stages it executes: S-PPJ-B/C pay
-//    for every spatially co-located pair, S-PPJ-F/D pay the index build
-//    plus textual survivors only, the sketch path pays band probes plus
-//    full-point-set verifications, parallel shapes amortise refine work
-//    across threads behind a fixed pool-spin-up charge. Units are
+//    charging each shape only for the stages it executes: S-PPJ-B/C run
+//    the cell merge for every one of the U(U-1)/2 user pairs (an exact
+//    count) and pay the all-pairs cell walk, S-PPJ-F/D pay the index
+//    build plus textual survivors only, the sketch path pays band probes
+//    plus full-point-set verifications, parallel shapes amortise refine
+//    work across threads behind a fixed pool-spin-up charge. Units are
 //    "elementary kernel operations"; PlannerFeedback's EWMA of measured
 //    ms-per-unit per shape turns them into milliseconds.
 
@@ -67,6 +69,8 @@ struct PlanEstimate {
   double text_survivors = 0.0;      // ... also past the textual filter
   double verified_pairs = 0.0;      // ... reaching the refine kernel
   double verify_cost_per_pair = 0.0;  // refine units per verified pair
+  double walk_cells = 0.0;          // merged cells of the all-pairs walk
+  double bounded_walk_cells = 0.0;  // ... before Lemma 1 stops each pair
 };
 
 /// Predicts the stage counts of Q = <eps_loc, eps_doc, eps_u> over a
@@ -79,10 +83,17 @@ PlanEstimate EstimateJoinStages(const PlannerStats& stats, double eps_loc,
 /// Total work units shape `shape` spends to execute a query with stage
 /// counts `est`. `candidate_correction` scales the candidate-derived
 /// stages (the feedback's learned actual/estimated ratio; pass 1 when
-/// none). Finite and >= 0.
+/// none); shapes for which UsesCandidateCorrection is false ignore it.
+/// Finite and >= 0.
 double EstimateShapeCost(const PlannerStats& stats, const PlanShape& shape,
                          const PlanEstimate& est,
                          double candidate_correction = 1.0);
+
+/// False for shapes whose candidate count is exact rather than
+/// estimated: S-PPJ-B/C and brute force visit every one of the U(U-1)/2
+/// user pairs, so their cost never reads the learned candidate
+/// correction and PlannerFeedback never learns one from their runs.
+bool UsesCandidateCorrection(const PlanShape& shape);
 
 }  // namespace stps
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 namespace stps {
 
@@ -52,8 +53,8 @@ double PlannerFeedback::PredictMillis(const PlanShape& shape,
     auto it = entries_.find(KeyOf(shape));
     if (it != entries_.end() && it->second.runs > 0) {
       per_unit = it->second.ewma_ms_per_unit;
-    } else if (total_records_ > 0) {
-      per_unit = global_ms_per_unit_;
+    } else if (kinds_[shape.topk].runs > 0) {
+      per_unit = kinds_[shape.topk].ms_per_unit;
     }
   }
   const double units =
@@ -80,24 +81,29 @@ void PlannerFeedback::Record(const PlanShape& shape,
   // plan) or a non-finite one must not enter the EWMA at all — clamping
   // actual/max(1, 0) would fabricate a ratio of up to kMaxRatio and
   // poison the learned correction for every later query of this shape.
-  const bool has_estimate = std::isfinite(estimate.candidate_pairs) &&
+  // Shapes with an exact candidate count have nothing to learn.
+  const bool has_estimate = UsesCandidateCorrection(shape) &&
+                            std::isfinite(estimate.candidate_pairs) &&
                             estimate.candidate_pairs >= 1.0;
-  double ratio = 1.0;
+  double raw_ratio = 1.0;
   if (has_estimate) {
     const double actual_candidates = std::max(
         1.0, static_cast<double>(std::max(stats.pairs_candidate,
                                           stats.sketch_candidate_pairs)));
-    ratio = std::clamp(actual_candidates / estimate.candidate_pairs,
-                       kMinRatio, kMaxRatio);
+    raw_ratio = actual_candidates / estimate.candidate_pairs;
   }
+  const double ratio = std::clamp(raw_ratio, kMinRatio, kMaxRatio);
 
   const double units = std::max(1.0, cost_units);
+  const double raw_per_unit = elapsed_ms / units;
   const double per_unit =
-      std::clamp(elapsed_ms / units, kMinMsPerUnit, kMaxMsPerUnit);
+      std::clamp(raw_per_unit, kMinMsPerUnit, kMaxMsPerUnit);
+  const bool clamped = per_unit != raw_per_unit || ratio != raw_ratio;
 
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = entries_[KeyOf(shape)];
   if (entry.runs == 0) {
+    entry.shape = shape;
     entry.ewma_ms_per_unit = per_unit;
     if (has_estimate) entry.ewma_candidate_ratio = ratio;
   } else {
@@ -109,11 +115,38 @@ void PlannerFeedback::Record(const PlanShape& shape,
     }
   }
   ++entry.runs;
-  global_ms_per_unit_ = total_records_ == 0
-                            ? per_unit
-                            : (1.0 - kAlpha) * global_ms_per_unit_ +
-                                  kAlpha * per_unit;
-  ++total_records_;
+  if (clamped) ++entry.clamped;
+  FeedbackSnapshot::Kind& kind = kinds_[shape.topk];
+  kind.ms_per_unit = kind.runs == 0 ? per_unit
+                                    : (1.0 - kAlpha) * kind.ms_per_unit +
+                                          kAlpha * per_unit;
+  ++kind.runs;
+}
+
+FeedbackSnapshot PlannerFeedback::Snapshot() const {
+  FeedbackSnapshot snapshot;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    snapshot.shapes.reserve(entries_.size());
+    for (const auto& [key, entry] : entries_) {
+      snapshot.shapes.push_back({entry.shape, entry.runs,
+                                 entry.ewma_ms_per_unit,
+                                 entry.ewma_candidate_ratio, entry.clamped});
+    }
+    snapshot.join = kinds_[0];
+    snapshot.topk = kinds_[1];
+  }
+  std::sort(snapshot.shapes.begin(), snapshot.shapes.end(),
+            [](const FeedbackSnapshot::Shape& x,
+               const FeedbackSnapshot::Shape& y) {
+              const PlanShape& a = x.shape;
+              const PlanShape& b = y.shape;
+              return std::tie(a.topk, a.join, a.topk_algorithm, a.sketch,
+                              a.threads) < std::tie(b.topk, b.join,
+                                                    b.topk_algorithm,
+                                                    b.sketch, b.threads);
+            });
+  return snapshot;
 }
 
 bool PlannerFeedback::NoteChosenPlan(uint64_t query_signature,
@@ -129,15 +162,14 @@ bool PlannerFeedback::NoteChosenPlan(uint64_t query_signature,
 
 uint64_t PlannerFeedback::total_records() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_records_;
+  return kinds_[0].runs + kinds_[1].runs;
 }
 
 void PlannerFeedback::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
   last_plan_.clear();
-  global_ms_per_unit_ = 0.0;
-  total_records_ = 0;
+  kinds_[0] = kinds_[1] = {};
 }
 
 }  // namespace stps

@@ -208,6 +208,59 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
   return plan;
 }
 
+PhysicalPlan PinPlanShape(const ObjectDatabase& db, PhysicalPlan plan,
+                          const PlanShape& shape) {
+  plan.shape = shape;
+  plan.cost_units = 0.0;
+  plan.predicted_ms = 0.0;
+  for (const PlanCandidate& c : plan.considered) {
+    if (c.shape == shape) {
+      plan.cost_units = c.cost_units;
+      plan.predicted_ms = c.predicted_ms;
+      return plan;
+    }
+  }
+  if (!db.has_planner_stats()) return plan;
+  const PlannerFeedback& feedback = PlannerFeedback::Global();
+  plan.cost_units = EstimateShapeCost(db.planner_stats(), shape,
+                                      plan.estimate,
+                                      feedback.CandidateCorrection(shape));
+  plan.predicted_ms = feedback.PredictMillis(shape, plan.cost_units);
+  return plan;
+}
+
+PlanShape ExplicitJoinShape(const STPSQuery& query,
+                            const JoinOptions& options) {
+  PlanShape shape;
+  shape.topk = false;
+  shape.join = options.algorithm;
+  // Sketch-generated candidates replace the per-algorithm filter stage
+  // for every non-brute algorithm (verification is the shared PPJ-B
+  // kernel, so results stay bit-identical). The band index is only a
+  // sound filter when a match implies a common token, i.e. eps_doc > 0
+  // with a real threshold eps_u > 0.
+  shape.sketch = query.sketch.enabled &&
+                 options.algorithm != JoinAlgorithm::kBruteForce &&
+                 query.eps_doc > 0.0 && query.eps_u > 0.0;
+  // Either knob may request parallelism; the stronger one wins.
+  shape.threads =
+      std::max(1, std::max(options.threads, query.parallel.num_threads));
+  return shape;
+}
+
+PlanShape ExplicitTopKShape(const TopKQuery& query, TopKAlgorithm algorithm) {
+  PlanShape shape;
+  shape.topk = true;
+  shape.topk_algorithm = algorithm;
+  // Sketch candidates with the heavy-hitters verification order stand in
+  // for every index-based variant (kF/kS/kP differ only in traversal
+  // order, which sketches supersede; brute force stays brute force).
+  shape.sketch =
+      query.sketch.enabled && algorithm != TopKAlgorithm::kBruteForce;
+  shape.threads = std::max(1, query.parallel.num_threads);
+  return shape;
+}
+
 std::string ExplainPlan(const PhysicalPlan& plan, const JoinStats* actual) {
   std::string out;
   char buf[256];
@@ -220,12 +273,14 @@ std::string ExplainPlan(const PhysicalPlan& plan, const JoinStats* actual) {
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "estimate: cells=%.3g colocated=%.3g candidates=%.3g "
-                "text_survivors=%.3g verified=%.3g cost/pair=%.3g\n",
+                "text_survivors=%.3g verified=%.3g cost/pair=%.3g "
+                "all-pairs walk=%.3g (Lemma 1: %.3g)\n",
                 plan.estimate.cells_visited,
                 plan.estimate.colocated_object_pairs,
                 plan.estimate.candidate_pairs, plan.estimate.text_survivors,
                 plan.estimate.verified_pairs,
-                plan.estimate.verify_cost_per_pair);
+                plan.estimate.verify_cost_per_pair,
+                plan.estimate.walk_cells, plan.estimate.bounded_walk_cells);
   out += buf;
   for (const PlanCandidate& c : plan.considered) {
     std::snprintf(buf, sizeof(buf), "  %-24s threads=%-2d %12.3g units "
@@ -233,6 +288,21 @@ std::string ExplainPlan(const PhysicalPlan& plan, const JoinStats* actual) {
                   PlanShapeName(c.shape).c_str(), c.shape.threads,
                   c.cost_units, c.predicted_ms,
                   c.shape == plan.shape ? "   [chosen]" : "");
+    out += buf;
+  }
+  const FeedbackSnapshot feedback = PlannerFeedback::Global().Snapshot();
+  std::snprintf(buf, sizeof(buf),
+                "feedback: join %" PRIu64 " runs (%.3g ms/unit), top-k %"
+                PRIu64 " runs (%.3g ms/unit)\n",
+                feedback.join.runs, feedback.join.ms_per_unit,
+                feedback.topk.runs, feedback.topk.ms_per_unit);
+  out += buf;
+  for (const FeedbackSnapshot::Shape& f : feedback.shapes) {
+    std::snprintf(buf, sizeof(buf),
+                  "  %-24s threads=%-2d runs=%-5" PRIu64 " %10.3g ms/unit "
+                  "candidates x%-8.3g clamped=%" PRIu64 "\n",
+                  PlanShapeName(f.shape).c_str(), f.shape.threads, f.runs,
+                  f.ms_per_unit, f.candidate_ratio, f.clamped);
     out += buf;
   }
   if (actual != nullptr) {

@@ -12,8 +12,9 @@
 //
 // `ExplainPlan` renders the decision: the chosen shape, the estimated
 // stage counts, the rejected alternatives with their predicted costs,
-// and — when the caller passes the measured JoinStats back in — an
-// estimated-vs-actual counter table.
+// the feedback coefficients that priced them, and — when the caller
+// passes the measured JoinStats back in — an estimated-vs-actual counter
+// table.
 
 #ifndef STPS_PLANNER_PLANNER_H_
 #define STPS_PLANNER_PLANNER_H_
@@ -71,8 +72,26 @@ PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
 PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
                               const TopKQuery& query);
 
+/// The shape RunSTPSJoin runs (and records feedback under) for an
+/// explicit, non-kAuto `options.algorithm`: the larger of the two thread
+/// knobs, and sketch candidates when query.sketch.enabled and the query
+/// has real textual thresholds.
+PlanShape ExplicitJoinShape(const STPSQuery& query,
+                            const JoinOptions& options);
+
+/// Same for RunTopKSTPSJoin with an explicit, non-kAuto `algorithm`.
+PlanShape ExplicitTopKShape(const TopKQuery& query, TopKAlgorithm algorithm);
+
+/// `plan` re-targeted at `shape` (an explicit algorithm's): the shape
+/// and its price, taken from `considered` or priced the same way, while
+/// `considered` keeps the planner's table — what kAuto would have
+/// compared.
+PhysicalPlan PinPlanShape(const ObjectDatabase& db, PhysicalPlan plan,
+                          const PlanShape& shape);
+
 /// Human-readable rendering of a plan: chosen shape, stage estimates,
-/// candidate table. With `actual`, appends an estimated-vs-actual
+/// candidate table, and the process-global PlannerFeedback state at the
+/// time of the call. With `actual`, appends an estimated-vs-actual
 /// counter comparison from the measured run.
 std::string ExplainPlan(const PhysicalPlan& plan,
                         const JoinStats* actual = nullptr);

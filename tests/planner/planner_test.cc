@@ -2,8 +2,10 @@
 // brute-force oracle (any thread budget, sketch on or off — the planner
 // may only ever be wrong about speed), the guaranteed properties of the
 // selectivity estimator (finite, non-negative, monotone in each
-// threshold), the online-feedback EWMA (convergence, candidate-ratio
-// learning, plan-switch detection), precondition-respecting plan
+// threshold), the all-pairs pricing of S-PPJ-B/C and the plan a fresh
+// process picks on the sparse presets, the online-feedback EWMA
+// (convergence, candidate-ratio learning, per-kind fallbacks, the
+// snapshot, plan-switch detection), precondition-respecting plan
 // enumeration, Explain output, and thread-safety of the shared feedback
 // map (this test runs under TSan in scripts/check_all.sh).
 
@@ -17,6 +19,8 @@
 #include "common/rng.h"
 #include "core/stpsjoin.h"
 #include "datagen/dataset_stats.h"
+#include "datagen/generator.h"
+#include "datagen/presets.h"
 #include "planner/cost_model.h"
 #include "planner/feedback.h"
 #include "planner/planner.h"
@@ -175,13 +179,15 @@ TEST(EstimatorPropertyTest, FiniteNonNegativeEverywhere) {
           for (const double v :
                {est.cells_visited, est.colocated_object_pairs,
                 est.candidate_pairs, est.text_survivors, est.verified_pairs,
-                est.verify_cost_per_pair}) {
+                est.verify_cost_per_pair, est.walk_cells,
+                est.bounded_walk_cells}) {
             EXPECT_TRUE(std::isfinite(v));
             EXPECT_GE(v, 0.0);
           }
-          // The funnel only narrows.
+          // The funnel only narrows, and Lemma 1 only shortens the walk.
           EXPECT_LE(est.text_survivors, est.candidate_pairs + 1e-9);
           EXPECT_LE(est.verified_pairs, est.text_survivors + 1e-9);
+          EXPECT_LE(est.bounded_walk_cells, est.walk_cells + 1e-9);
           // Cost of every shape is finite and non-negative too.
           for (const JoinAlgorithm algorithm :
                {JoinAlgorithm::kBruteForce, JoinAlgorithm::kSPPJC,
@@ -235,6 +241,68 @@ TEST(EstimatorPropertyTest, MonotoneInEachThreshold) {
       EXPECT_GE(lo_u.verified_pairs, hi_u.verified_pairs - 1e-9);
     }
   }
+}
+
+// S-PPJ-B/C run the cell merge for every user pair, so their price must
+// cover the U(U-1)/2 pairs a real run verifies and, for S-PPJ-C, the
+// merged cells it walks — not just the filter funnel's spatial
+// candidates, which is what once made them look cheapest on sparse data.
+TEST(CostModelTest, AllPairsShapesPayEveryUserPair) {
+  PlannerFeedback::Global().Reset();
+  const ObjectDatabase db = GenerateDataset(
+      PresetSpec(DatasetKind::kCheckinSparse, 300, 20160315));
+  const STPSQuery query = DefaultQuery(DatasetKind::kCheckinSparse);
+  const PlannerStats& stats = db.planner_stats();
+  const PlanEstimate estimate = EstimateJoinStages(
+      stats, query.eps_loc, query.eps_doc, query.eps_u);
+  const double users = static_cast<double>(db.num_users());
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJC}) {
+    JoinOptions options;
+    options.algorithm = algorithm;
+    JoinStats measured;
+    RunSTPSJoin(db, query, options, &measured);
+    EXPECT_EQ(static_cast<double>(measured.pairs_verified),
+              users * (users - 1.0) / 2.0);
+    PlanShape shape;
+    shape.join = algorithm;
+    const double cost = EstimateShapeCost(stats, shape, estimate);
+    EXPECT_GE(cost, static_cast<double>(measured.pairs_verified))
+        << JoinAlgorithmName(algorithm);
+    if (algorithm == JoinAlgorithm::kSPPJC) {
+      EXPECT_GE(estimate.walk_cells,
+                static_cast<double>(measured.cells_visited));
+      EXPECT_GE(cost, static_cast<double>(measured.cells_visited));
+    }
+    // The count is exact: a learned correction must not move the price.
+    EXPECT_EQ(EstimateShapeCost(stats, shape, estimate, 40.0), cost);
+  }
+  PlannerFeedback::Global().Reset();
+}
+
+// With fresh feedback the planner must already pick what it converges
+// to. On the sparse presets at the bench_planner thresholds the
+// all-pairs joins measured 6-8x slower than S-PPJ-F/D, so a fresh process
+// must not choose them. (FlickrLike is left out: there S-PPJ-B is close
+// to the best plan.)
+TEST(PlannerColdStartTest, FreshFeedbackSkipsAllPairsJoinsOnSparsePresets) {
+  for (const DatasetKind kind :
+       {DatasetKind::kGeoTextLike, DatasetKind::kCheckinSparse}) {
+    const ObjectDatabase db =
+        GenerateDataset(PresetSpec(kind, 700, 20160315));
+    for (const double scale : {1.0, 4.0}) {
+      PlannerFeedback::Global().Reset();
+      STPSQuery query = DefaultQuery(kind);
+      query.eps_loc *= scale;
+      query.parallel.num_threads = 4;
+      const PhysicalPlan plan = PlanSTPSJoin(db, query);
+      EXPECT_NE(plan.shape.join, JoinAlgorithm::kSPPJB)
+          << DatasetKindName(kind) << " eps_loc=" << query.eps_loc;
+      EXPECT_NE(plan.shape.join, JoinAlgorithm::kSPPJC)
+          << DatasetKindName(kind) << " eps_loc=" << query.eps_loc;
+    }
+  }
+  PlannerFeedback::Global().Reset();
 }
 
 TEST(PlannerStatsTest, OccupancyLadderIsMonotone) {
@@ -299,7 +367,7 @@ TEST(FeedbackTest, PredictionConvergesToObservedRate) {
 TEST(FeedbackTest, CandidateCorrectionTracksMeasuredRatio) {
   PlannerFeedback feedback;
   PlanShape shape;
-  shape.join = JoinAlgorithm::kSPPJB;
+  shape.join = JoinAlgorithm::kSPPJF;
   PlanEstimate estimate;
   estimate.candidate_pairs = 100.0;
   JoinStats stats;
@@ -315,6 +383,103 @@ TEST(FeedbackTest, CandidateCorrectionTracksMeasuredRatio) {
                                               0.3, 0.2);
   EXPECT_GT(EstimateShapeCost(db.planner_stats(), shape, est, 4.0),
             EstimateShapeCost(db.planner_stats(), shape, est, 1.0));
+}
+
+// Unobserved shapes are priced with the EWMA of their own query kind: a
+// slow join must not make every unobserved top-k shape look slow (or the
+// reverse), since the planner only compares shapes of one kind.
+TEST(FeedbackTest, QueryKindsKeepSeparateFallbacks) {
+  PlannerFeedback feedback;
+  PlanShape join;
+  join.join = JoinAlgorithm::kSPPJF;
+  PlanShape other_join;
+  other_join.join = JoinAlgorithm::kSPPJD;
+  PlanShape topk;
+  topk.topk = true;
+  topk.topk_algorithm = TopKAlgorithm::kP;
+  PlanShape other_topk = topk;
+  other_topk.topk_algorithm = TopKAlgorithm::kS;
+  PlanEstimate estimate;
+  estimate.candidate_pairs = 100.0;
+  JoinStats stats;
+  stats.pairs_candidate = 100;
+  const double units = 1e6;
+  const double unobserved_topk = feedback.PredictMillis(other_topk, units);
+
+  feedback.Record(join, estimate, units, stats, 100.0);
+  EXPECT_NEAR(feedback.PredictMillis(other_join, units), 100.0, 1e-9);
+  EXPECT_DOUBLE_EQ(feedback.PredictMillis(other_topk, units),
+                   unobserved_topk);
+
+  feedback.Record(topk, estimate, units, stats, 5.0);
+  EXPECT_NEAR(feedback.PredictMillis(other_topk, units), 5.0, 1e-9);
+  EXPECT_NEAR(feedback.PredictMillis(other_join, units), 100.0, 1e-9);
+  EXPECT_EQ(feedback.total_records(), 2u);
+}
+
+// S-PPJ-B/C and brute force know their candidate count exactly, so their
+// runs teach no candidate correction — even when the funnel estimate is
+// far from U(U-1)/2.
+TEST(FeedbackTest, ExactCountShapesLearnNoCandidateCorrection) {
+  PlannerFeedback feedback;
+  PlanEstimate estimate;
+  estimate.candidate_pairs = 100.0;
+  JoinStats stats;
+  stats.pairs_candidate = 4700;
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJC,
+        JoinAlgorithm::kBruteForce}) {
+    PlanShape shape;
+    shape.join = algorithm;
+    EXPECT_FALSE(UsesCandidateCorrection(shape));
+    feedback.Record(shape, estimate, 1e5, stats, 1.0);
+    EXPECT_DOUBLE_EQ(feedback.CandidateCorrection(shape), 1.0);
+  }
+  PlanShape filtered;
+  filtered.join = JoinAlgorithm::kSPPJF;
+  EXPECT_TRUE(UsesCandidateCorrection(filtered));
+  feedback.Record(filtered, estimate, 1e5, stats, 1.0);
+  EXPECT_NEAR(feedback.CandidateCorrection(filtered), 47.0, 1e-9);
+}
+
+TEST(FeedbackTest, SnapshotReportsPerShapeState) {
+  PlannerFeedback feedback;
+  EXPECT_TRUE(feedback.Snapshot().shapes.empty());
+  PlanShape f;
+  f.join = JoinAlgorithm::kSPPJF;
+  f.threads = 2;
+  PlanShape c;
+  c.join = JoinAlgorithm::kSPPJC;
+  PlanShape topk;
+  topk.topk = true;
+  topk.topk_algorithm = TopKAlgorithm::kS;
+  PlanEstimate estimate;
+  estimate.candidate_pairs = 100.0;
+  JoinStats stats;
+  stats.pairs_candidate = 200;
+  feedback.Record(topk, estimate, 1e6, stats, 3.0);
+  feedback.Record(f, estimate, 1e6, stats, 4.0);
+  feedback.Record(f, estimate, 1e6, stats, 4.0);
+  feedback.Record(c, estimate, 1.0, stats, 1e9);  // far above the clamp
+
+  const FeedbackSnapshot snapshot = feedback.Snapshot();
+  ASSERT_EQ(snapshot.shapes.size(), 3u);
+  // Joins first (C before F), then top-k.
+  EXPECT_TRUE(snapshot.shapes[0].shape == c);
+  EXPECT_TRUE(snapshot.shapes[1].shape == f);
+  EXPECT_TRUE(snapshot.shapes[2].shape == topk);
+  EXPECT_EQ(snapshot.shapes[0].runs, 1u);
+  EXPECT_EQ(snapshot.shapes[0].clamped, 1u);
+  EXPECT_DOUBLE_EQ(snapshot.shapes[0].candidate_ratio, 1.0);
+  EXPECT_EQ(snapshot.shapes[1].runs, 2u);
+  EXPECT_EQ(snapshot.shapes[1].clamped, 0u);
+  EXPECT_NEAR(snapshot.shapes[1].ms_per_unit, 4e-6, 1e-15);
+  EXPECT_NEAR(snapshot.shapes[1].candidate_ratio, 2.0, 1e-12);
+  EXPECT_EQ(snapshot.join.runs, 3u);
+  EXPECT_EQ(snapshot.topk.runs, 1u);
+  EXPECT_NEAR(snapshot.topk.ms_per_unit, 3e-6, 1e-15);
+  EXPECT_DOUBLE_EQ(snapshot.shapes[1].ms_per_unit,
+                   feedback.PredictMillis(f, 1.0));
 }
 
 TEST(FeedbackTest, NoteChosenPlanDetectsSwitches) {
@@ -461,6 +626,53 @@ TEST(PlannerExplainTest, RendersPlanAndCounterTable) {
   EXPECT_NE(with.find("estimated vs actual"), std::string::npos);
   EXPECT_NE(with.find("candidate_pairs"), std::string::npos);
   EXPECT_NE(with.find("matches_found"), std::string::npos);
+  // The feedback section lists the run just made.
+  const size_t feedback = with.find("feedback: join 1 runs");
+  ASSERT_NE(feedback, std::string::npos);
+  EXPECT_NE(with.find(PlanShapeName(plan.shape), feedback),
+            std::string::npos);
+  PlannerFeedback::Global().Reset();
+}
+
+// An explicit algorithm's plan names the shape that runs, priced as in
+// the planner's table, which stays what kAuto would have compared.
+TEST(PlannerExplainTest, PinnedPlanReportsTheExplicitShape) {
+  PlannerFeedback::Global().Reset();
+  const ObjectDatabase db = FuzzDb(17, 1);
+  STPSQuery query{0.08, 0.3, 0.2};
+  query.parallel.num_threads = 2;
+  const PhysicalPlan chosen = PlanSTPSJoin(db, query);
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJF,
+        JoinAlgorithm::kSPPJD, JoinAlgorithm::kBruteForce}) {
+    JoinOptions options;
+    options.algorithm = algorithm;
+    const PlanShape shape = ExplicitJoinShape(query, options);
+    EXPECT_EQ(shape.join, algorithm);
+    EXPECT_EQ(shape.threads, 2);
+    const PhysicalPlan pinned = PinPlanShape(db, chosen, shape);
+    EXPECT_TRUE(pinned.shape == shape);
+    ASSERT_EQ(pinned.considered.size(), chosen.considered.size());
+    for (const PlanCandidate& c : chosen.considered) {
+      if (c.shape == shape) {
+        EXPECT_EQ(pinned.cost_units, c.cost_units);
+        EXPECT_EQ(pinned.predicted_ms, c.predicted_ms);
+      }
+    }
+    EXPECT_GT(pinned.cost_units, 0.0);
+    const std::string text = ExplainPlan(pinned);
+    EXPECT_NE(text.find("plan: " + PlanShapeName(shape)), std::string::npos);
+  }
+  // Top-k: brute force has no parallel driver, so the pinned threads=2
+  // shape is absent from the table and gets priced on its own.
+  TopKQuery topk{0.08, 0.3, 5};
+  topk.parallel.num_threads = 2;
+  const PlanShape brute =
+      ExplicitTopKShape(topk, TopKAlgorithm::kBruteForce);
+  const PhysicalPlan pinned =
+      PinPlanShape(db, PlanTopKSTPSJoin(db, topk), brute);
+  EXPECT_TRUE(pinned.shape == brute);
+  EXPECT_GT(pinned.predicted_ms, 0.0);
   PlannerFeedback::Global().Reset();
 }
 
@@ -520,7 +732,7 @@ TEST(PlannerConcurrencyTest, SharedFeedbackSurvivesParallelUse) {
 TEST(PlannerFeedbackTest, ZeroEstimateDoesNotPoisonCandidateRatio) {
   PlannerFeedback::Global().Reset();
   PlanShape shape;
-  shape.join = JoinAlgorithm::kSPPJB;
+  shape.join = JoinAlgorithm::kSPPJF;
   JoinStats stats;
   stats.pairs_candidate = 5000;  // huge "actual" against a zero estimate
 

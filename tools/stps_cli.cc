@@ -10,10 +10,12 @@
 //       Run STPSJoin (algorithm: auto | sppjc | sppjb | sppjf | sppjd |
 //       brute; default auto — the cost-model planner picks). Prints one
 //       "userA userB sigma" row per pair. --sketch draws candidates from
-//       the sketch layer (same results). --explain prints the chosen
-//       plan and an estimated-vs-actual counter table as JSON instead of
-//       the pairs. --mapped opens a .stpsdb v3 snapshot via mmap (O(1)
-//       open, pages on demand). --shards N partitions the join by user
+//       the sketch layer (same results). --explain prints, as JSON
+//       instead of the pairs, the executed plan (kAuto's choice or the
+//       explicit algorithm), the planner's candidate table, the planner
+//       feedback state and an estimated-vs-actual counter table.
+//       --mapped opens a .stpsdb v3 snapshot via mmap (O(1) open, pages
+//       on demand). --shards N partitions the join by user
 //       range onto N threads (bit-identical results; implies sppjf when
 //       the algorithm is auto). --prefetch advises the kernel about the
 //       scan (madvise) before the join — useful with --mapped.
@@ -42,12 +44,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/parse.h"
 #include "common/timer.h"
 #include "core/stpsjoin.h"
 #include "core/tuning.h"
 #include "core/update.h"
+#include "planner/feedback.h"
 #include "planner/planner.h"
 #include "datagen/dataset_stats.h"
 #include "datagen/generator.h"
@@ -206,7 +210,8 @@ int CmdStats(int argc, char** argv) {
 }
 
 // Emits the --explain JSON document: the executed plan, the planner's
-// candidate table, and the estimated-vs-actual counter comparison.
+// candidate table, the feedback state after the run, and the
+// estimated-vs-actual counter comparison.
 void PrintExplainJson(const char* command, const PhysicalPlan& plan,
                       const JoinStats& stats, size_t result_pairs,
                       double elapsed_ms) {
@@ -227,11 +232,32 @@ void PrintExplainJson(const char* command, const PhysicalPlan& plan,
         c.cost_units, c.predicted_ms);
   }
   std::printf("\n  ],\n");
+  const FeedbackSnapshot feedback = PlannerFeedback::Global().Snapshot();
+  std::printf(
+      "  \"feedback\": {\"join\": {\"runs\": %llu, \"ms_per_unit\": %.6g}, "
+      "\"topk\": {\"runs\": %llu, \"ms_per_unit\": %.6g}, \"shapes\": [",
+      static_cast<unsigned long long>(feedback.join.runs),
+      feedback.join.ms_per_unit,
+      static_cast<unsigned long long>(feedback.topk.runs),
+      feedback.topk.ms_per_unit);
+  for (size_t i = 0; i < feedback.shapes.size(); ++i) {
+    const FeedbackSnapshot::Shape& f = feedback.shapes[i];
+    std::printf(
+        "%s\n    {\"shape\": \"%s\", \"threads\": %d, \"runs\": %llu, "
+        "\"ms_per_unit\": %.6g, \"candidate_ratio\": %.6g, \"clamped\": "
+        "%llu}",
+        i == 0 ? "" : ",", PlanShapeName(f.shape).c_str(), f.shape.threads,
+        static_cast<unsigned long long>(f.runs), f.ms_per_unit,
+        f.candidate_ratio, static_cast<unsigned long long>(f.clamped));
+  }
+  std::printf("\n  ]},\n");
   std::printf(
       "  \"estimated\": {\"cells_visited\": %.6g, \"candidate_pairs\": "
-      "%.6g, \"text_survivors\": %.6g, \"verified_pairs\": %.6g},\n",
+      "%.6g, \"text_survivors\": %.6g, \"verified_pairs\": %.6g, "
+      "\"walk_cells\": %.6g, \"bounded_walk_cells\": %.6g},\n",
       plan.estimate.cells_visited, plan.estimate.candidate_pairs,
-      plan.estimate.text_survivors, plan.estimate.verified_pairs);
+      plan.estimate.text_survivors, plan.estimate.verified_pairs,
+      plan.estimate.walk_cells, plan.estimate.bounded_walk_cells);
   std::printf(
       "  \"actual\": {\"cells_visited\": %llu, \"pairs_candidate\": %llu, "
       "\"pairs_verified\": %llu, \"matches_found\": %llu, "
@@ -297,17 +323,18 @@ int CmdJoin(int argc, char** argv) {
   }
   ObjectDatabase db;
   if (!LoadDatabase(argv[2], &db, mapped)) return 1;
-  const PhysicalPlan plan = PlanSTPSJoin(db, query, options);
+  // Report the executed shape: kAuto's choice, or the explicit one.
+  PhysicalPlan plan = PlanSTPSJoin(db, query, options);
+  if (options.algorithm != JoinAlgorithm::kAuto) {
+    plan = PinPlanShape(db, std::move(plan),
+                        ExplicitJoinShape(query, options));
+  }
   JoinStats stats;
   Timer timer;
   const auto result = RunSTPSJoin(db, query, options, &stats);
   const double elapsed_ms = timer.ElapsedMillis();
-  const std::string executed =
-      options.algorithm == JoinAlgorithm::kAuto
-          ? PlanShapeName(plan.shape)
-          : std::string(JoinAlgorithmName(options.algorithm));
-  std::fprintf(stderr, "%s: %zu pairs in %.1f ms\n", executed.c_str(),
-               result.size(), elapsed_ms);
+  std::fprintf(stderr, "%s: %zu pairs in %.1f ms\n",
+               PlanShapeName(plan.shape).c_str(), result.size(), elapsed_ms);
   if (explain) {
     std::fprintf(stderr, "%s", ExplainPlan(plan, &stats).c_str());
     PrintExplainJson("join", plan, stats, result.size(), elapsed_ms);
@@ -355,16 +382,17 @@ int CmdTopK(int argc, char** argv) {
   }
   ObjectDatabase db;
   if (!LoadDatabase(argv[2], &db, mapped)) return 1;
-  const PhysicalPlan plan = PlanTopKSTPSJoin(db, query);
+  PhysicalPlan plan = PlanTopKSTPSJoin(db, query);
+  if (algorithm != TopKAlgorithm::kAuto) {
+    plan = PinPlanShape(db, std::move(plan),
+                        ExplicitTopKShape(query, algorithm));
+  }
   JoinStats stats;
   Timer timer;
   const auto result = RunTopKSTPSJoin(db, query, algorithm, &stats);
   const double elapsed_ms = timer.ElapsedMillis();
-  const std::string executed = algorithm == TopKAlgorithm::kAuto
-                                   ? PlanShapeName(plan.shape)
-                                   : std::string(TopKAlgorithmName(algorithm));
-  std::fprintf(stderr, "%s: %zu pairs in %.1f ms\n", executed.c_str(),
-               result.size(), elapsed_ms);
+  std::fprintf(stderr, "%s: %zu pairs in %.1f ms\n",
+               PlanShapeName(plan.shape).c_str(), result.size(), elapsed_ms);
   if (explain) {
     std::fprintf(stderr, "%s", ExplainPlan(plan, &stats).c_str());
     PrintExplainJson("topk", plan, stats, result.size(), elapsed_ms);
