@@ -1,5 +1,5 @@
-// Snapshot I/O benchmark: cold open and out-of-core join execution on
-// the v3 arena format.
+// Snapshot I/O benchmark: cold open and first-join cost on the v3 arena
+// format.
 //
 // Three ways to get a written database back:
 //   heap_read_ms    ReadBinary — reads the whole file, verifies every
@@ -17,11 +17,9 @@
 // file, so the committed full-scale baseline gates it at >= 10.
 //
 // The join columns compare the same query on the heap and mapped
-// databases (first query after open — the paged-in join) and the
-// sharded driver at 1/2/8 shards on the mapped database. Every variant
-// must produce the identical result list — a positional checksum over
-// (a, b, score-bits) aborts the bench on any divergence, which is what
-// makes `sharded_checksum_match` a trivially gateable 1.0.
+// databases (first query after open — the paged-in join). Both must
+// produce the identical result list — a positional checksum over
+// (a, b, score-bits) aborts the bench on any divergence.
 //
 // Usage: bench_io [--smoke] [output.json]  (default BENCH_io.json)
 
@@ -34,7 +32,6 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
-#include "core/sharded_join.h"
 #include "core/stpsjoin.h"
 #include "io/binary.h"
 
@@ -62,9 +59,6 @@ struct SweepRow {
   double load_ms = 0;
   double join_heap_ms = 0;
   double join_mapped_ms = 0;
-  double join_shard1_ms = 0;
-  double join_shard2_ms = 0;
-  double join_shard8_ms = 0;
   uint64_t matches = 0;
 };
 
@@ -121,25 +115,10 @@ SweepRow RunSweepPoint(size_t users, const std::string& path) {
   row.join_mapped_ms = mapped_join_timer.ElapsedMillis();
   row.matches = mapped_result.size();
 
-  const uint64_t reference = ResultChecksum(heap_result);
-  if (ResultChecksum(mapped_result) != reference) {
+  if (ResultChecksum(mapped_result) != ResultChecksum(heap_result)) {
     std::fprintf(stderr, "mapped join diverged at %zu users\n", users);
     std::abort();
   }
-
-  const auto time_shards = [&](int shards, double* ms) {
-    Timer timer;
-    const auto result = ShardedSTPSJoin(mapped.value(), query, shards);
-    *ms = timer.ElapsedMillis();
-    if (ResultChecksum(result) != reference) {
-      std::fprintf(stderr, "sharded join (%d shards) diverged at %zu users\n",
-                   shards, users);
-      std::abort();
-    }
-  };
-  time_shards(1, &row.join_shard1_ms);
-  time_shards(2, &row.join_shard2_ms);
-  time_shards(8, &row.join_shard8_ms);
 
   std::remove(path.c_str());
   return row;
@@ -167,19 +146,17 @@ int main(int argc, char** argv) {
                                         : std::vector<size_t>{400, 1600, 3200};
   const std::string snapshot_path = out_path + ".tmp.stpsdb";
 
-  std::printf("%8s %12s %9s %9s %8s %8s %9s %9s %9s %9s %9s\n", "users",
-              "file_bytes", "write_ms", "heap_ms", "open_ms", "load_ms",
-              "joinH_ms", "joinM_ms", "sh1_ms", "sh2_ms", "sh8_ms");
+  std::printf("%8s %12s %9s %9s %8s %8s %9s %9s\n", "users", "file_bytes",
+              "write_ms", "heap_ms", "open_ms", "load_ms", "joinH_ms",
+              "joinM_ms");
 
   std::vector<SweepRow> rows;
   for (const size_t users : sweep) {
     rows.push_back(RunSweepPoint(users, snapshot_path));
     const SweepRow& r = rows.back();
-    std::printf("%8zu %12" PRIu64
-                " %9.1f %9.1f %8.3f %8.3f %9.1f %9.1f %9.1f %9.1f %9.1f\n",
+    std::printf("%8zu %12" PRIu64 " %9.1f %9.1f %8.3f %8.3f %9.1f %9.1f\n",
                 r.users, r.file_bytes, r.write_ms, r.heap_read_ms, r.open_ms,
-                r.load_ms, r.join_heap_ms, r.join_mapped_ms, r.join_shard1_ms,
-                r.join_shard2_ms, r.join_shard8_ms);
+                r.load_ms, r.join_heap_ms, r.join_mapped_ms);
   }
 
   const SweepRow& last = rows.back();
@@ -202,17 +179,12 @@ int main(int argc, char** argv) {
                  ", \"matches\": %" PRIu64
                  ", \"write_ms\": %.2f, \"heap_read_ms\": %.2f, "
                  "\"open_ms\": %.4f, \"load_ms\": %.4f, "
-                 "\"join_heap_ms\": %.2f, \"join_mapped_ms\": %.2f, "
-                 "\"join_shard1_ms\": %.2f, \"join_shard2_ms\": %.2f, "
-                 "\"join_shard8_ms\": %.2f}",
+                 "\"join_heap_ms\": %.2f, \"join_mapped_ms\": %.2f}",
                  i == 0 ? "" : ",\n", r.users, r.file_bytes, r.matches,
                  r.write_ms, r.heap_read_ms, r.open_ms, r.load_ms,
-                 r.join_heap_ms, r.join_mapped_ms, r.join_shard1_ms,
-                 r.join_shard2_ms, r.join_shard8_ms);
+                 r.join_heap_ms, r.join_mapped_ms);
   }
-  std::fprintf(json,
-               "\n  ],\n  \"mapped_open_speedup\": %.2f,\n"
-               "  \"sharded_checksum_match\": 1.0\n}\n",
+  std::fprintf(json, "\n  ],\n  \"mapped_open_speedup\": %.2f\n}\n",
                mapped_open_speedup);
   std::fclose(json);
 

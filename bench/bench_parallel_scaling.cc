@@ -1,17 +1,13 @@
 // Ablation A4: shared-memory scaling of the pool-parallel join drivers
 // (a step toward the paper's future-work distributed processing).
 //
-// Part 1 pits the work-stealing ThreadPool S-PPJ-F against the old
-// hand-rolled std::thread implementation it replaced — the pool must be
-// no slower at every thread count. Part 2 reports pool scaling for every
-// parallel driver (S-PPJ-B/C/D/F and TOPK-S-PPJ-F); on a multi-core host
-// the speedup should track the thread count until the per-user work runs
-// out. The per-stage filter counters print at exit via the bench_util
-// stats registry.
+// Reports pool scaling for every parallel driver (S-PPJ-B/C/D/F and
+// TOPK-S-PPJ-F); on a multi-core host the speedup should track the
+// thread count until the per-user work runs out. The per-stage filter
+// counters print at exit via the bench_util stats registry.
 //
 // Usage: bench_parallel_scaling [num_users]
 
-#include <algorithm>
 #include <thread>
 
 #include "bench_util.h"
@@ -26,46 +22,12 @@ int main(int argc, char** argv) {
   using namespace stps::bench;
   const size_t num_users = ArgSize(argc, argv, 1, 400);
   const int thread_counts[] = {1, 2, 4, 8};
-  constexpr int kRepeats = 3;
 
   std::printf("Ablation A4: parallel join scaling (%zu users; host has "
               "%u hardware threads)\n\n",
               num_users, std::thread::hardware_concurrency());
 
-  std::printf("Pool vs hand-rolled S-PPJ-F (ms, best of %d)\n", kRepeats);
-  std::printf("%-14s %-11s %10s %10s %10s %10s %8s\n", "", "", "1 thread",
-              "2", "4", "8", "|R|");
-  for (const DatasetKind kind : AllKinds()) {
-    const ObjectDatabase& db = GetDataset(kind, num_users);
-    const STPSQuery query = DefaultQuery(kind);
-    // Warm caches so the first timed configuration isn't penalised.
-    SPPJFParallel(db, query, ParallelOptions{1, 0});
-    size_t pool_size = 0, hand_size = 0;
-    double pool_ms[4], hand_ms[4];
-    // Interleave the two implementations and keep the best repeat —
-    // the host is shared, so single measurements are noisy.
-    for (int i = 0; i < 4; ++i) pool_ms[i] = hand_ms[i] = 1e300;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      for (int i = 0; i < 4; ++i) {
-        const int threads = thread_counts[i];
-        Timer pool_timer;
-        pool_size =
-            SPPJFParallel(db, query, ParallelOptions{threads, 0}).size();
-        pool_ms[i] = std::min(pool_ms[i], pool_timer.ElapsedMillis());
-        Timer hand_timer;
-        hand_size = SPPJFParallelHandRolled(db, query, threads).size();
-        hand_ms[i] = std::min(hand_ms[i], hand_timer.ElapsedMillis());
-      }
-    }
-    std::printf("%-14s %-11s", DatasetKindName(kind), "pool");
-    for (const double ms : pool_ms) std::printf(" %10.1f", ms);
-    std::printf(" %8zu\n", pool_size);
-    std::printf("%-14s %-11s", "", "hand-rolled");
-    for (const double ms : hand_ms) std::printf(" %10.1f", ms);
-    std::printf(" %8zu\n", hand_size);
-  }
-
-  std::printf("\nPool scaling per algorithm (ms; GeoText-like preset)\n");
+  std::printf("Pool scaling per algorithm (ms; GeoText-like preset)\n");
   std::printf("%-14s %10s %10s %10s %10s %8s\n", "", "1 thread", "2", "4",
               "8", "|R|");
   const ObjectDatabase& db = GetDataset(DatasetKind::kGeoTextLike, num_users);

@@ -90,16 +90,22 @@ std::string ShapeLabel(const PlanShape& shape) {
 STPSQuery ConfigQuery(DatasetKind kind, double eps_loc_scale) {
   STPSQuery query = DefaultQuery(kind);
   query.eps_loc *= eps_loc_scale;
-  query.parallel.num_threads = kThreadBudget;
   return query;
+}
+
+// Every run, planned or static, gets the same thread budget.
+JoinOptions BudgetOptions(JoinAlgorithm algorithm) {
+  JoinOptions options;
+  options.algorithm = algorithm;
+  options.threads = kThreadBudget;
+  return options;
 }
 
 // One timed run through the umbrella; aborts on result divergence.
 double TimedRun(const ObjectDatabase& db, const STPSQuery& query,
                 JoinAlgorithm algorithm, uint64_t* checksum,
                 uint64_t* matches) {
-  JoinOptions options;
-  options.algorithm = algorithm;
+  const JoinOptions options = BudgetOptions(algorithm);
   JoinStats stats;
   Timer timer;
   const auto result = RunSTPSJoin(db, query, options, &stats);
@@ -130,7 +136,8 @@ ConfigRow RunCold(DatasetKind kind, size_t users, double eps_loc_scale) {
   row.eps_u = query.eps_u;
 
   PlannerFeedback::Global().Reset();
-  row.cold_algorithm = ShapeLabel(PlanSTPSJoin(db, query).shape);
+  row.cold_algorithm = ShapeLabel(
+      PlanSTPSJoin(db, query, BudgetOptions(JoinAlgorithm::kAuto)).shape);
   row.cold_ms = TimedRun(db, query, JoinAlgorithm::kAuto, &row.checksum,
                          &row.matches);
   return row;
@@ -161,7 +168,8 @@ void RunCalibrated(DatasetKind kind, size_t users, double eps_loc_scale,
 
   row->auto_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    row->auto_algorithm = ShapeLabel(PlanSTPSJoin(db, query).shape);
+    row->auto_algorithm = ShapeLabel(
+        PlanSTPSJoin(db, query, BudgetOptions(JoinAlgorithm::kAuto)).shape);
     const double ms =
         TimedRun(db, query, JoinAlgorithm::kAuto, &checksum, &row->matches);
     if (rep >= 1) row->auto_ms = std::min(row->auto_ms, ms);

@@ -48,18 +48,16 @@ python3 "$ROOT/scripts/compare_bench.py" \
 
 echo "=== snapshot robustness: fuzz + mmap differential + io bench ==="
 # Bit-flip/truncation/trailing-garbage corruption fuzz, heap-vs-mapped
-# differential joins, sharded-join determinism, and the binary round
-# trips; then the io bench smoke (cold-open + paged joins, internal
-# checksums abort on any divergence) and the committed baseline's
-# mmap-open gate.
+# differential joins, and the binary round trips; then the io bench
+# smoke (cold-open + paged joins, internal checksums abort on any
+# divergence) and the committed baseline's mmap-open gate.
 (cd "$ROOT/build" && \
      ctest --output-on-failure \
-         -R 'snapshot_fuzz|mapped_differential|sharded_join|binary_test')
+         -R 'snapshot_fuzz|mapped_differential|binary_test')
 cmake --build "$ROOT/build" -j --target bench_io
 "$ROOT/build/bench/bench_io" --smoke "$SMOKE_DIR/io.json"
 python3 "$ROOT/scripts/compare_bench.py" \
     --require 'mapped_open_speedup>=10' \
-    --require 'sharded_checksum_match>=1.0' \
     "$ROOT/BENCH_io.json" "$ROOT/BENCH_io.json"
 
 echo "=== update fuzz + server smoke ==="
@@ -93,6 +91,6 @@ cmake --build "$ROOT/build-ubsan" -j
 (cd "$ROOT/build-ubsan" && \
      UBSAN_OPTIONS=print_stacktrace=1 \
      ctest --output-on-failure \
-         -R 'boundary_oracle|predicates|sketch|snapshot_fuzz|mapped_differential|sharded_join')
+         -R 'boundary_oracle|predicates|sketch|snapshot_fuzz|mapped_differential')
 
 echo "=== all checks passed ==="

@@ -11,11 +11,11 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DSTPS_TSAN=ON
 cmake --build "$BUILD_DIR" -j --target \
   thread_pool_test parallel_test consistency_fuzz_test sketch_test \
-  planner_test update_test delta_publish_test server_test sharded_join_test
+  planner_test update_test delta_publish_test server_test
 
 # halt_on_error so CI fails fast; second_deadlock_stack for lock-order
 # reports that involve the pool mutex plus a client lock.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'thread_pool_test|parallel_test|consistency_fuzz_test|sketch_test|planner_test|update_test|delta_publish_test|server_test|sharded_join_test'
+ctest --output-on-failure -R 'thread_pool_test|parallel_test|consistency_fuzz_test|sketch_test|planner_test|update_test|delta_publish_test|server_test'

@@ -39,8 +39,9 @@
 
 namespace stps {
 
-/// Execution knobs for the parallel join drivers. A field of STPSQuery /
-/// TopKQuery, so callers opt in per query.
+/// Execution knobs for the parallel join drivers. A field of TopKQuery,
+/// so top-k callers opt in per query; RunSTPSJoin builds one from
+/// JoinOptions::threads with the automatic grain.
 struct ParallelOptions {
   /// Worker count; 1 (the default) selects the sequential driver.
   int num_threads = 1;

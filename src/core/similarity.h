@@ -18,16 +18,15 @@ namespace stps {
 
 /// An STPSJoin query Q = <eps_loc, eps_doc, eps_u> (Definition 1), plus
 /// the optional temporal threshold of the future-work extension
-/// (infinite by default, i.e. disabled), the parallel-execution knobs
-/// (sequential by default; see common/thread_pool.h), and the sketch
-/// candidate-generation opt-in (off by default; see sketch/options.h —
-/// enabling it never changes results).
+/// (infinite by default, i.e. disabled) and the sketch candidate-
+/// generation opt-in (off by default; see sketch/options.h — enabling it
+/// never changes results). A join's thread budget is JoinOptions::threads
+/// (core/stpsjoin.h).
 struct STPSQuery {
   double eps_loc = 0.0;
   double eps_doc = 0.0;
   double eps_u = 0.0;
   double eps_time = std::numeric_limits<double>::infinity();
-  ParallelOptions parallel = {};
   SketchOptions sketch = {};
 
   MatchThresholds match_thresholds() const {
@@ -35,7 +34,9 @@ struct STPSQuery {
   }
 };
 
-/// A top-k STPSJoin query Q = <eps_loc, eps_doc, k> (Definition 2).
+/// A top-k STPSJoin query Q = <eps_loc, eps_doc, k> (Definition 2), with
+/// the same temporal and sketch knobs, plus its parallel-execution knobs
+/// (sequential by default; see common/thread_pool.h).
 struct TopKQuery {
   double eps_loc = 0.0;
   double eps_doc = 0.0;

@@ -1,9 +1,5 @@
 #include "core/sppj_f_parallel.h"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-
 #include "common/predicates.h"
 #include "core/parallel_util.h"
 #include "core/ppjb.h"
@@ -11,13 +7,16 @@
 
 namespace stps {
 
+namespace {
+
 // One worker's pass over a user: identical filter/refine logic to the
 // sequential S-PPJ-F, except that the index is complete and candidates
-// are restricted to earlier users in the total order.
-void SPPJFProcessUser(const ObjectDatabase& db, const UserGrid& grid,
-                      const SpatioTextualGridIndex& index,
-                      const STPSQuery& query, UserId u,
-                      std::vector<ScoredUserPair>* out, JoinStats* stats) {
+// are restricted to earlier users in the total order, so each pair is
+// evaluated exactly once however users are spread over workers.
+void ProcessUser(const ObjectDatabase& db, const UserGrid& grid,
+                 const SpatioTextualGridIndex& index, const STPSQuery& query,
+                 UserId u, std::vector<ScoredUserPair>* out,
+                 JoinStats* stats) {
   const MatchThresholds t = query.match_thresholds();
   const UserLayout& cu = grid.UserCells(u);
   const size_t nu = db.UserObjectCount(u);
@@ -94,14 +93,7 @@ void SPPJFProcessUser(const ObjectDatabase& db, const UserGrid& grid,
   }
 }
 
-// Builds the complete spatio-textual index (users in id order, so the
-// inverted lists are ascending and the u' < u filter can stop early).
-void SPPJFBuildFullIndex(const ObjectDatabase& db, const UserGrid& grid,
-                         SpatioTextualGridIndex* index) {
-  for (UserId u = 0; u < db.num_users(); ++u) {
-    index->AddUser(u, grid.UserCells(u));
-  }
-}
+}  // namespace
 
 std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
                                           const STPSQuery& query,
@@ -112,9 +104,13 @@ std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
   STPS_CHECK(parallel.num_threads >= 1);
   if (db.num_objects() == 0) return {};
 
+  // The complete index, users in id order: inverted lists ascend, so the
+  // u' < u filter can stop early.
   const UserGrid grid(db, query.eps_loc);
   SpatioTextualGridIndex index;
-  SPPJFBuildFullIndex(db, grid, &index);
+  for (UserId u = 0; u < db.num_users(); ++u) {
+    index.AddUser(u, grid.UserCells(u));
+  }
 
   ThreadPool pool(parallel.num_threads);
   const size_t slots = static_cast<size_t>(pool.num_threads());
@@ -122,62 +118,14 @@ std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
   std::vector<JoinStats> worker_stats(slots);
   pool.ParallelForEach(
       0, db.num_users(), parallel.grain, [&](size_t u, int worker) {
-        SPPJFProcessUser(db, grid, index, query, static_cast<UserId>(u),
-                         &per_worker[static_cast<size_t>(worker)],
-                         stats != nullptr
-                             ? &worker_stats[static_cast<size_t>(worker)]
-                             : nullptr);
+        ProcessUser(db, grid, index, query, static_cast<UserId>(u),
+                    &per_worker[static_cast<size_t>(worker)],
+                    stats != nullptr
+                        ? &worker_stats[static_cast<size_t>(worker)]
+                        : nullptr);
       });
   MergeWorkerStats(stats, worker_stats);
   return MergeSortedPairs(&per_worker);
-}
-
-std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
-                                          const STPSQuery& query,
-                                          int num_threads) {
-  return SPPJFParallel(db, query, ParallelOptions{num_threads, 0});
-}
-
-std::vector<ScoredUserPair> SPPJFParallelHandRolled(const ObjectDatabase& db,
-                                                    const STPSQuery& query,
-                                                    int num_threads) {
-  STPS_CHECK(query.eps_doc > 0.0);
-  STPS_CHECK(query.eps_u > 0.0);
-  STPS_CHECK(num_threads >= 1);
-  std::vector<ScoredUserPair> result;
-  if (db.num_objects() == 0) return result;
-
-  const UserGrid grid(db, query.eps_loc);
-  SpatioTextualGridIndex index;
-  SPPJFBuildFullIndex(db, grid, &index);
-
-  const size_t n = db.num_users();
-  std::atomic<uint32_t> next_user{0};
-  std::vector<std::vector<ScoredUserPair>> per_thread(
-      static_cast<size_t>(num_threads));
-  const auto worker = [&](int thread_index) {
-    std::vector<ScoredUserPair>& out = per_thread[thread_index];
-    for (;;) {
-      const uint32_t u = next_user.fetch_add(1, std::memory_order_relaxed);
-      if (u >= n) break;
-      SPPJFProcessUser(db, grid, index, query, u, &out, nullptr);
-    }
-  };
-  if (num_threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (int i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker, i);
-    }
-    for (auto& t : threads) t.join();
-  }
-  for (const auto& partial : per_thread) {
-    result.insert(result.end(), partial.begin(), partial.end());
-  }
-  std::sort(result.begin(), result.end(), PairIdLess);
-  return result;
 }
 
 }  // namespace stps

@@ -22,45 +22,15 @@
 
 namespace stps {
 
-class UserGrid;                 // core/user_grid.h
-class SpatioTextualGridIndex;   // core/user_grid.h
-
-/// One user's filter/refine pass of the parallel S-PPJ-F: candidates are
-/// restricted to users earlier in the total order, so each pair is
-/// evaluated exactly once no matter how users are distributed over
-/// workers. Exported as the unit of work shared by SPPJFParallel and the
-/// sharded driver (core/sharded_join.h) — one implementation is what
-/// makes their results bit-identical.
-void SPPJFProcessUser(const ObjectDatabase& db, const UserGrid& grid,
-                      const SpatioTextualGridIndex& index,
-                      const STPSQuery& query, UserId u,
-                      std::vector<ScoredUserPair>* out, JoinStats* stats);
-
-/// Builds the complete spatio-textual index over all users (ascending id
-/// order, so inverted lists ascend and the u' < u filter can stop early).
-void SPPJFBuildFullIndex(const ObjectDatabase& db, const UserGrid& grid,
-                         SpatioTextualGridIndex* index);
-
 /// Evaluates the STPSJoin query on the work-stealing pool. Produces the
-/// same result as SPPJF (sorted by (a, b), exact scores). Preconditions:
-/// eps_doc > 0, eps_u > 0, parallel.num_threads >= 1.
+/// same result and JoinStats as SPPJF (sorted by (a, b), exact scores)
+/// at any thread count; RunSTPSJoin routes here when
+/// JoinOptions::threads > 1. Preconditions: eps_loc > 0, eps_doc > 0,
+/// eps_u > 0, parallel.num_threads >= 1.
 std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
                                           const STPSQuery& query,
                                           const ParallelOptions& parallel,
                                           JoinStats* stats = nullptr);
-
-/// Convenience overload: `num_threads` workers, auto grain.
-std::vector<ScoredUserPair> SPPJFParallel(const ObjectDatabase& db,
-                                          const STPSQuery& query,
-                                          int num_threads);
-
-/// The pre-ThreadPool implementation — a plain std::thread loop pulling
-/// users off one atomic counter. Kept only as the baseline for
-/// bench_parallel_scaling (the pool must not be slower); new callers use
-/// SPPJFParallel.
-std::vector<ScoredUserPair> SPPJFParallelHandRolled(const ObjectDatabase& db,
-                                                    const STPSQuery& query,
-                                                    int num_threads);
 
 }  // namespace stps
 

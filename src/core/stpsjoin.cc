@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "core/sppj_b.h"
 #include "core/sppj_c.h"
-#include "core/sharded_join.h"
 #include "core/sppj_d.h"
 #include "core/sppj_f.h"
 #include "core/sppj_f_parallel.h"
@@ -28,10 +28,11 @@ uint64_t RoundCount(double v) {
 std::vector<ScoredUserPair> DispatchJoin(const ObjectDatabase& db,
                                          const STPSQuery& query,
                                          const JoinOptions& options,
-                                         int threads,
-                                         const ParallelOptions& parallel,
-                                         bool use_sketch, JoinStats* stats) {
-  if (use_sketch) return SketchSTPSJoin(db, query, parallel, stats);
+                                         const PlanShape& shape,
+                                         JoinStats* stats) {
+  const int threads = shape.threads;
+  const ParallelOptions parallel{threads, 0};
+  if (shape.sketch) return SketchSTPSJoin(db, query, parallel, stats);
   switch (options.algorithm) {
     case JoinAlgorithm::kBruteForce: {
       std::vector<ScoredUserPair> result = BruteForceSTPSJoin(db, query);
@@ -120,6 +121,45 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
+Status ValidateJoinQuery(const STPSQuery& query, const JoinOptions& options) {
+  const JoinAlgorithm algorithm = options.algorithm;
+  if (algorithm == JoinAlgorithm::kBruteForce ||
+      algorithm == JoinAlgorithm::kAuto) {
+    return Status::OK();
+  }
+  const std::string name(JoinAlgorithmName(algorithm));
+  // Written as !(x > 0) so a NaN threshold fails too.
+  if ((algorithm == JoinAlgorithm::kSPPJF ||
+       algorithm == JoinAlgorithm::kSPPJD) &&
+      !(query.eps_doc > 0.0 && query.eps_u > 0.0)) {
+    return Status::InvalidArgument(name +
+                                   " requires eps_doc > 0 and eps_u > 0");
+  }
+  const bool sketch = ExplicitJoinShape(query, options).sketch;
+  if (!(query.eps_loc > 0.0) &&
+      (algorithm != JoinAlgorithm::kSPPJD || sketch)) {
+    return Status::InvalidArgument(
+        (sketch ? "sketch candidate generation" : name) +
+        " requires eps_loc > 0");
+  }
+  return Status::OK();
+}
+
+Status ValidateTopKQuery(const TopKQuery& query, TopKAlgorithm algorithm) {
+  if (query.k == 0) return Status::InvalidArgument("top-k requires k > 0");
+  if (algorithm == TopKAlgorithm::kBruteForce ||
+      algorithm == TopKAlgorithm::kAuto) {
+    return Status::OK();
+  }
+  // kF/kS/kP and the sketch route ExplicitTopKShape picks for them share
+  // the eps_loc user grid and the token-sharing candidate index.
+  if (!(query.eps_loc > 0.0 && query.eps_doc > 0.0)) {
+    return Status::InvalidArgument(std::string(TopKAlgorithmName(algorithm)) +
+                                   " requires eps_loc > 0 and eps_doc > 0");
+  }
+  return Status::OK();
+}
+
 std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
                                         const STPSQuery& query,
                                         const JoinOptions& options,
@@ -128,8 +168,6 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
     const PhysicalPlan plan = PlanSTPSJoin(db, query, options);
     STPSQuery resolved = query;
     resolved.sketch.enabled = plan.shape.sketch;
-    resolved.parallel.num_threads = plan.shape.threads;
-    resolved.parallel.grain = plan.grain;
     JoinOptions ropts = options;
     ropts.algorithm = plan.shape.join;
     ropts.threads = plan.shape.threads;
@@ -151,22 +189,6 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
   // The thread count and the sketch routing (planner/planner.h); when
   // the sketch filter is unsound the requested algorithm runs unchanged.
   const PlanShape shape = ExplicitJoinShape(query, options);
-  const int threads = shape.threads;
-  const ParallelOptions parallel{threads, query.parallel.grain};
-  const bool use_sketch = shape.sketch;
-
-  // Sharded execution (core/sharded_join.h): one thread per contiguous
-  // user range, built for paging over mmap'd snapshots. It runs the
-  // S-PPJ-F pipeline whatever exact algorithm was requested — all
-  // non-brute algorithms return bit-identical results, so this only
-  // changes the work, not the answer. Skips planner feedback: shard
-  // timings would poison the per-shape cost coefficients.
-  if (options.shards > 1 && !use_sketch &&
-      options.algorithm != JoinAlgorithm::kBruteForce &&
-      query.eps_doc > 0.0 && query.eps_u > 0.0) {
-    return ShardedSTPSJoin(db, query, options.shards, stats,
-                           options.prefetch);
-  }
 
   // Time the run and fold the measurement into the planner's feedback —
   // for explicit choices too, so benchmark sweeps over the static
@@ -183,7 +205,7 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
   JoinStats* sink = stats != nullptr ? stats : &local;
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScoredUserPair> result =
-      DispatchJoin(db, query, options, threads, parallel, use_sketch, sink);
+      DispatchJoin(db, query, options, shape, sink);
   if (record) {
     PlannerFeedback::Global().Record(shape, estimate, cost_units, *sink,
                                      ElapsedMs(start));
@@ -204,7 +226,6 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(const ObjectDatabase& db,
     TopKQuery resolved = query;
     resolved.sketch.enabled = plan.shape.sketch;
     resolved.parallel.num_threads = plan.shape.threads;
-    resolved.parallel.grain = plan.grain;
     std::vector<ScoredUserPair> result =
         RunTopKSTPSJoin(db, resolved, plan.shape.topk_algorithm, stats);
     const bool switched = PlannerFeedback::Global().NoteChosenPlan(

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "core/database.h"
 #include "core/join_stats.h"
 #include "core/similarity.h"
@@ -45,33 +46,29 @@ struct JoinOptions {
   JoinAlgorithm algorithm = JoinAlgorithm::kSPPJF;
   /// R-tree node capacity; only used by S-PPJ-D.
   int rtree_fanout = 128;
-  /// Worker threads; kept for backward compatibility with the old
-  /// S-PPJ-F-only parallelism. The effective thread count is
-  /// max(threads, query.parallel.num_threads); when > 1, every grid- or
-  /// leaf-based algorithm dispatches to its pool-parallel driver (brute
-  /// force always runs sequentially).
+  /// The join's thread budget. When > 1, every grid- or leaf-based
+  /// algorithm runs its pool-parallel driver on this many workers with
+  /// the pool's automatic chunk size (brute force always runs
+  /// sequentially); kAuto treats it as a ceiling and may pick fewer.
   int threads = 1;
-  /// When > 1 (and the query is eligible: S-PPJ-F-shaped, no sketch
-  /// candidate generation), the join runs on the sharded driver
-  /// (core/sharded_join.h): users are partitioned into `shards`
-  /// contiguous ranges, one thread per shard, merged deterministically.
-  /// Bit-identical to shards == 1. Meant for mmap'd snapshots whose
-  /// working set exceeds RAM — shards page mostly disjoint arena ranges.
-  int shards = 1;
-  /// Advise the kernel about the sharded scan's access pattern before it
-  /// starts (common/prefetch.h): POSIX_MADV_SEQUENTIAL over the SoA
-  /// mirrors and token arena for the linear per-user pipeline pass, plus
-  /// POSIX_MADV_WILLNEED on each shard's object/SoA/arena ranges so page-
-  /// ins batch instead of faulting one at a time. Purely advisory — never
-  /// changes results — and a no-op off POSIX or on non-mapped databases.
-  bool prefetch = false;
 };
+
+/// The preconditions RunSTPSJoin needs for `options.algorithm` on this
+/// query, as an InvalidArgument naming the one that fails. The grid
+/// algorithms (S-PPJ-B/C/F) bucket objects into eps_loc cells and need
+/// eps_loc > 0; the filter-at-a-time pair (S-PPJ-F/D) also needs
+/// eps_doc > 0 and eps_u > 0; sketch candidate generation, which
+/// ExplicitJoinShape picks for any non-brute algorithm when
+/// query.sketch.enabled, re-walks the eps_loc grid and so needs
+/// eps_loc > 0 too. Brute force and kAuto (whose planner only
+/// enumerates feasible shapes) accept every query.
+Status ValidateJoinQuery(const STPSQuery& query, const JoinOptions& options);
 
 /// Evaluates Q = <eps_loc, eps_doc, eps_u>: all user pairs with
 /// sigma >= eps_u. Results are sorted by (a, b) and carry exact scores —
-/// bit-identical at any thread count. Preconditions for the filter-based
-/// algorithms (F, D): eps_doc > 0 and eps_u > 0. `stats` (optional)
-/// receives the per-stage filter counters of the run.
+/// bit-identical at any thread count. Precondition:
+/// ValidateJoinQuery(query, options).ok(). `stats` (optional) receives
+/// the per-stage filter counters of the run.
 ///
 /// When query.sketch.enabled (and eps_doc > 0, eps_u > 0), candidate
 /// pairs come from the per-user sketch layer instead of the chosen
@@ -89,8 +86,15 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
                                         const JoinOptions& options = {},
                                         JoinStats* stats = nullptr);
 
+/// The preconditions RunTopKSTPSJoin needs for `algorithm`: k > 0
+/// always, and eps_loc > 0 and eps_doc > 0 for the index-based variants
+/// (kF/kS/kP build the eps_loc grid and their index admits only users
+/// sharing a token) and for the sketch route ExplicitTopKShape picks
+/// for them. Brute force and kAuto need only k > 0.
+Status ValidateTopKQuery(const TopKQuery& query, TopKAlgorithm algorithm);
+
 /// Evaluates the top-k query; results best-first under TopKBetter.
-/// Precondition for the index-based variants: eps_doc > 0. When
+/// Precondition: ValidateTopKQuery(query, algorithm).ok(). When
 /// query.parallel.num_threads > 1, the index-based variants run on the
 /// work-stealing pool (identical results at any thread count). When
 /// query.sketch.enabled, every index-based variant verifies the sketch

@@ -75,8 +75,7 @@ PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
     return fallback;
   }
   const PlannerStats& stats = db.planner_stats();
-  const int budget = std::max(
-      1, std::max(options.threads, query.parallel.num_threads));
+  const int budget = std::max(1, options.threads);
 
   // Feasible shapes, in deterministic preference order (ties in predicted
   // cost resolve to the earlier entry). Preconditions mirror the
@@ -127,7 +126,6 @@ PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
       stats,
       EstimateJoinStages(stats, query.eps_loc, query.eps_doc, query.eps_u),
       std::move(shapes));
-  plan.grain = query.parallel.grain;
   plan.rtree_fanout = options.rtree_fanout;
   uint64_t sig = kFnvOffset;
   sig = HashMix(sig, 1);  // join query tag
@@ -195,7 +193,6 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
       PickCheapest(stats, EstimateJoinStages(stats, query.eps_loc,
                                              query.eps_doc, 0.0),
                    std::move(shapes));
-  plan.grain = query.parallel.grain;
   uint64_t sig = kFnvOffset;
   sig = HashMix(sig, 2);  // top-k query tag
   sig = HashDouble(sig, query.eps_loc);
@@ -242,9 +239,7 @@ PlanShape ExplicitJoinShape(const STPSQuery& query,
   shape.sketch = query.sketch.enabled &&
                  options.algorithm != JoinAlgorithm::kBruteForce &&
                  query.eps_doc > 0.0 && query.eps_u > 0.0;
-  // Either knob may request parallelism; the stronger one wins.
-  shape.threads =
-      std::max(1, std::max(options.threads, query.parallel.num_threads));
+  shape.threads = std::max(1, options.threads);
   return shape;
 }
 
@@ -265,11 +260,10 @@ std::string ExplainPlan(const PhysicalPlan& plan, const JoinStats* actual) {
   std::string out;
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "plan: %s threads=%d grain=%zu fanout=%d "
+                "plan: %s threads=%d fanout=%d "
                 "(%.3g units, predicted %.3f ms)\n",
                 PlanShapeName(plan.shape).c_str(), plan.shape.threads,
-                plan.grain, plan.rtree_fanout, plan.cost_units,
-                plan.predicted_ms);
+                plan.rtree_fanout, plan.cost_units, plan.predicted_ms);
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "estimate: cells=%.3g colocated=%.3g candidates=%.3g "

@@ -40,8 +40,6 @@ struct PlanCandidate {
 /// and the full candidate table for Explain output.
 struct PhysicalPlan {
   PlanShape shape;
-  /// ParallelFor chunk size to use (0 = the pool's automatic choice).
-  size_t grain = 0;
   /// R-tree node capacity, honoured when shape.join == kSPPJD.
   int rtree_fanout = 128;
   /// Stage estimates for the query (shape-independent).
@@ -58,10 +56,10 @@ struct PhysicalPlan {
 };
 
 /// Plans Q = <eps_loc, eps_doc, eps_u>. `options` carries the caller's
-/// knobs: `options.threads` (max'd with query.parallel.num_threads) is
-/// the thread *budget* — the planner picks sequential execution when the
-/// pool spin-up costs more than it saves — and `options.rtree_fanout`
-/// passes through. `options.algorithm` is ignored (the planner chooses).
+/// knobs: `options.threads` is the thread *budget* — the planner picks
+/// sequential execution when the pool spin-up costs more than it saves —
+/// and `options.rtree_fanout` passes through. `options.algorithm` is
+/// ignored (the planner chooses).
 /// Sketch candidate generation is considered whenever it is sound for
 /// the query, even when query.sketch.enabled is false: enabling it never
 /// changes results, only work.
@@ -73,8 +71,8 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
                               const TopKQuery& query);
 
 /// The shape RunSTPSJoin runs (and records feedback under) for an
-/// explicit, non-kAuto `options.algorithm`: the larger of the two thread
-/// knobs, and sketch candidates when query.sketch.enabled and the query
+/// explicit, non-kAuto `options.algorithm`: `options.threads` workers,
+/// and sketch candidates when query.sketch.enabled and the query
 /// has real textual thresholds.
 PlanShape ExplicitJoinShape(const STPSQuery& query,
                             const JoinOptions& options);

@@ -542,16 +542,13 @@ bool QueryServer::HandleRequest(const std::string& line, std::string* out) {
         out->append("ERR thresholds out of range\n");
         return true;
       }
-      // The filter-based algorithms require real textual thresholds;
-      // kAuto and brute force handle the degenerate cases themselves.
-      if (join_options.algorithm != JoinAlgorithm::kAuto &&
-          join_options.algorithm != JoinAlgorithm::kBruteForce &&
-          (query.eps_doc <= 0 || query.eps_u <= 0)) {
-        out->append("ERR this algorithm requires eps_doc > 0 and eps_u > 0\n");
+      query.sketch.enabled = sketch;
+      join_options.threads = threads;
+      const Status valid = ValidateJoinQuery(query, join_options);
+      if (!valid.ok()) {
+        out->append("ERR " + valid.message() + "\n");
         return true;
       }
-      query.sketch.enabled = sketch;
-      query.parallel.num_threads = threads;
       AppendPairRows(db, RunSTPSJoin(db, query, join_options),
                      snapshot->epoch, out);
       return true;
@@ -574,13 +571,13 @@ bool QueryServer::HandleRequest(const std::string& line, std::string* out) {
       out->append("ERR thresholds out of range\n");
       return true;
     }
-    if (algorithm != TopKAlgorithm::kAuto &&
-        algorithm != TopKAlgorithm::kBruteForce && query.eps_doc <= 0) {
-      out->append("ERR this variant requires eps_doc > 0\n");
-      return true;
-    }
     query.sketch.enabled = sketch;
     query.parallel.num_threads = threads;
+    const Status valid = ValidateTopKQuery(query, algorithm);
+    if (!valid.ok()) {
+      out->append("ERR " + valid.message() + "\n");
+      return true;
+    }
     AppendPairRows(db, RunTopKSTPSJoin(db, query, algorithm),
                    snapshot->epoch, out);
     return true;

@@ -20,6 +20,9 @@
 //   TOPK <eps_loc> <eps_doc> <k> [ALGO <auto|f|s|p|brute>]
 //        [THREADS <n>] [SKETCH]
 //     -> same row format
+//   (JOIN / TOPK answer "ERR <reason>" when the thresholds fail the
+//   chosen algorithm's preconditions: ValidateJoinQuery /
+//   ValidateTopKQuery in core/stpsjoin.h.)
 //   PROBE <user> <eps_loc> <eps_doc> <eps_u>
 //     -> similar-users rows for one user, best-first
 //   INSERT <user> <x> <y> <kw1,kw2,...|-> [time]

@@ -169,12 +169,12 @@ void ExpectSameJoinsAllModes(const ObjectDatabase& lhs,
   for (const int threads : {1, 2, 8}) {
     for (const bool sketch : {false, true}) {
       STPSQuery query = join;
-      query.parallel.num_threads = threads;
       query.sketch.enabled = sketch;
       for (const JoinAlgorithm algorithm :
            {JoinAlgorithm::kSPPJF, JoinAlgorithm::kAuto}) {
         JoinOptions options;
         options.algorithm = algorithm;
+        options.threads = threads;
         const auto l = RunSTPSJoin(lhs, query, options);
         EXPECT_TRUE(SameResults(l, RunSTPSJoin(rhs, query, options), 0.0))
             << "threads=" << threads << " sketch=" << sketch
@@ -479,7 +479,6 @@ TEST(DeltaPublishConcurrencyTest, ReadersDuringDeltaPublishes) {
       query.eps_loc = 0.15;
       query.eps_doc = 0.25;
       query.eps_u = 0.2;
-      query.parallel.num_threads = (r == 0) ? 2 : 1;
       uint64_t last_epoch = 0;
       while (!stop.load(std::memory_order_acquire)) {
         const auto snapshot = db.snapshot();
@@ -487,6 +486,7 @@ TEST(DeltaPublishConcurrencyTest, ReadersDuringDeltaPublishes) {
         last_epoch = snapshot->epoch;
         JoinOptions options;
         options.algorithm = JoinAlgorithm::kSPPJF;
+        options.threads = (r == 0) ? 2 : 1;
         const auto fast = RunSTPSJoin(snapshot->db, query, options);
         const auto brute = BruteForceSTPSJoin(snapshot->db, query);
         if (!SameResults(fast, brute, 0.0)) failures.fetch_add(1);

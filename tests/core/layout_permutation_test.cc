@@ -120,11 +120,10 @@ TEST(LayoutPermutationTest, JoinVariantsAreInsertionOrderInvariant) {
         JoinOptions options;
         options.algorithm = algorithm;
         options.rtree_fanout = 16;
-        STPSQuery query = base;
-        EXPECT_EQ(Named(db, RunSTPSJoin(db, query, options)), expected)
+        EXPECT_EQ(Named(db, RunSTPSJoin(db, base, options)), expected)
             << JoinAlgorithmName(algorithm) << " shuffle=" << seed;
-        query.parallel = ParallelOptions{3, 1};
-        EXPECT_EQ(Named(db, RunSTPSJoin(db, query, options)), expected)
+        options.threads = 3;
+        EXPECT_EQ(Named(db, RunSTPSJoin(db, base, options)), expected)
             << "parallel " << JoinAlgorithmName(algorithm)
             << " shuffle=" << seed;
       }

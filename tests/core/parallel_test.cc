@@ -136,7 +136,8 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelJoinTest,
 TEST(ParallelJoinTest, EmptyDatabase) {
   DatabaseBuilder builder;
   const ObjectDatabase db = std::move(builder).Build();
-  EXPECT_TRUE(SPPJFParallel(db, {0.1, 0.3, 0.3}, 4).empty());
+  EXPECT_TRUE(
+      SPPJFParallel(db, {0.1, 0.3, 0.3}, ParallelOptions{4, 0}).empty());
 }
 
 TEST(ParallelJoinTest, MoreThreadsThanUsers) {
@@ -144,23 +145,25 @@ TEST(ParallelJoinTest, MoreThreadsThanUsers) {
   spec.num_users = 3;
   const ObjectDatabase db = BuildRandomDatabase(spec);
   const STPSQuery query{0.2, 0.2, 0.1};
-  EXPECT_TRUE(SameResults(SPPJFParallel(db, query, 16), SPPJF(db, query)));
+  EXPECT_TRUE(SameResults(SPPJFParallel(db, query, ParallelOptions{16, 0}),
+                          SPPJF(db, query)));
 }
 
-TEST(ParallelJoinTest, QueryParallelOptionsRouteThroughRunSTPSJoin) {
+TEST(ParallelJoinTest, JoinOptionsThreadsRouteThroughRunSTPSJoin) {
   const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
-  STPSQuery query{0.1, 0.3, 0.25};
+  const STPSQuery query{0.1, 0.3, 0.25};
   for (const JoinAlgorithm algorithm :
        {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJF,
         JoinAlgorithm::kSPPJD}) {
     JoinOptions options;
     options.algorithm = algorithm;
-    const auto expected = RunSTPSJoin(db, query, options);
-    query.parallel = ParallelOptions{8, 2};
-    const auto actual = RunSTPSJoin(db, query, options);
-    query.parallel = ParallelOptions{};
+    JoinStats seq_stats, par_stats;
+    const auto expected = RunSTPSJoin(db, query, options, &seq_stats);
+    options.threads = 8;
+    const auto actual = RunSTPSJoin(db, query, options, &par_stats);
     EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
         << JoinAlgorithmName(algorithm);
+    EXPECT_EQ(par_stats, seq_stats) << JoinAlgorithmName(algorithm);
   }
 }
 

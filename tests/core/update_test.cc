@@ -85,12 +85,11 @@ void ExpectSameJoins(const ObjectDatabase& lhs, const ObjectDatabase& rhs) {
         << "join algorithm " << static_cast<int>(algorithm);
   }
   {
-    STPSQuery parallel = join;
-    parallel.parallel.num_threads = 8;
     JoinOptions options;
     options.algorithm = JoinAlgorithm::kSPPJF;
-    EXPECT_TRUE(SameResults(RunSTPSJoin(lhs, parallel, options),
-                            RunSTPSJoin(rhs, parallel, options), 0.0));
+    options.threads = 8;
+    EXPECT_TRUE(SameResults(RunSTPSJoin(lhs, join, options),
+                            RunSTPSJoin(rhs, join, options), 0.0));
   }
   {
     STPSQuery sketch = join;
@@ -352,13 +351,13 @@ TEST(UpdatableDatabaseConcurrencyTest, ReadersNeverBlockOrTear) {
       query.eps_loc = 0.15;
       query.eps_doc = 0.25;
       query.eps_u = 0.2;
-      query.parallel.num_threads = (r == 0) ? 2 : 1;
       while (!stop.load(std::memory_order_acquire)) {
         const auto snapshot = db.snapshot();
         if (snapshot->epoch < last_epoch) failures.fetch_add(1);
         last_epoch = snapshot->epoch;
         JoinOptions options;
         options.algorithm = JoinAlgorithm::kSPPJF;
+        options.threads = (r == 0) ? 2 : 1;
         const auto fast = RunSTPSJoin(snapshot->db, query, options);
         const auto brute = BruteForceSTPSJoin(snapshot->db, query);
         if (!SameResults(fast, brute, 0.0)) failures.fetch_add(1);

@@ -160,20 +160,19 @@ TEST_P(BoundaryOracleTest, AllJoinVariantsMatchBruteForce) {
             << " eps_loc=" << query.eps_loc << " eps_doc=" << query.eps_doc
             << " eps_u=" << query.eps_u;
         // Pool-parallel must be bit-identical.
-        query.parallel = ParallelOptions{4, 1};
+        options.threads = 4;
         ASSERT_TRUE(SameResults(RunSTPSJoin(db, query, options), expected,
                                 /*tolerance=*/0.0))
             << "parallel " << JoinAlgorithmName(algorithm)
             << " seed=" << seed << " eps_doc=" << query.eps_doc
             << " eps_u=" << query.eps_u;
-        query.parallel = ParallelOptions{};
         // Sketch-accelerated candidate generation must survive the same
         // ULP-adversarial boundaries: the band index may only widen the
         // candidate set, so the verified results stay bit-identical at
         // every thread count.
         query.sketch.enabled = true;
         for (const int threads : {1, 2, 8}) {
-          query.parallel = ParallelOptions{threads, 1};
+          options.threads = threads;
           JoinStats sketch_stats;
           ASSERT_TRUE(SameResults(RunSTPSJoin(db, query, options,
                                               &sketch_stats),
@@ -186,7 +185,6 @@ TEST_P(BoundaryOracleTest, AllJoinVariantsMatchBruteForce) {
                     sketch_stats.matches_found);
         }
         query.sketch = SketchOptions{};
-        query.parallel = ParallelOptions{};
       }
       // The quadtree backend of S-PPJ-D routes through different
       // partition geometry; same boundaries, same answer.

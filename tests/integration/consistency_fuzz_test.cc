@@ -92,11 +92,10 @@ TEST_P(ConsistencyFuzzTest, AllJoinAlgorithmsAgreeOnRandomConfigs) {
 
       // The pool-parallel driver must be bit-identical with identical
       // counters (thread count varies with the round).
-      query.parallel =
-          ParallelOptions{2 + round % 3, static_cast<size_t>(round % 4)};
+      options.threads = 2 + round % 3;
       JoinStats parallel_stats;
       const auto parallel = RunSTPSJoin(db, query, options, &parallel_stats);
-      query.parallel = ParallelOptions{};
+      options.threads = 1;
       ASSERT_TRUE(SameResults(parallel, expected, /*tolerance=*/0.0))
           << "parallel " << JoinAlgorithmName(algorithm)
           << " seed=" << spec.seed;
@@ -124,8 +123,7 @@ TEST_P(ConsistencyFuzzTest, AllJoinAlgorithmsAgreeOnRandomConfigs) {
       query.sketch.enabled = true;
       JoinStats first_sketch_stats;
       for (const int threads : {1, 2, 8}) {
-        query.parallel =
-            ParallelOptions{threads, static_cast<size_t>(round % 3)};
+        options.threads = threads;
         JoinStats sketch_stats;
         const auto sketched =
             RunSTPSJoin(db, query, options, &sketch_stats);
@@ -146,16 +144,15 @@ TEST_P(ConsistencyFuzzTest, AllJoinAlgorithmsAgreeOnRandomConfigs) {
         }
       }
       query.sketch = SketchOptions{};
-      query.parallel = ParallelOptions{};
     }
 
     // The planner route: whatever shape kAuto resolves to (the choice
     // may vary with thread budget and learned feedback), the results must
     // be the brute-force results, bit for bit.
     for (const int threads : {1, 2, 8}) {
-      query.parallel = ParallelOptions{threads, 0};
       JoinOptions auto_options;
       auto_options.algorithm = JoinAlgorithm::kAuto;
+      auto_options.threads = threads;
       JoinStats auto_stats;
       ASSERT_TRUE(SameResults(RunSTPSJoin(db, query, auto_options,
                                           &auto_stats),
@@ -164,7 +161,6 @@ TEST_P(ConsistencyFuzzTest, AllJoinAlgorithmsAgreeOnRandomConfigs) {
       CheckStatsInvariants(auto_stats, static_cast<int64_t>(expected.size()),
                            "kAuto");
     }
-    query.parallel = ParallelOptions{};
   }
 }
 
@@ -207,10 +203,10 @@ TEST(ConsistencyDuplicateLocationsTest, AllAlgorithmsAgree) {
       CheckStatsInvariants(stats, static_cast<int64_t>(expected.size()),
                            JoinAlgorithmName(algorithm).data());
 
-      query.parallel = ParallelOptions{3, 1};
+      options.threads = 3;
       JoinStats parallel_stats;
       const auto parallel = RunSTPSJoin(db, query, options, &parallel_stats);
-      query.parallel = ParallelOptions{};
+      options.threads = 1;
       ASSERT_TRUE(SameResults(parallel, expected, /*tolerance=*/0.0))
           << "parallel " << JoinAlgorithmName(algorithm)
           << " eps_doc=" << eps_doc;
@@ -225,7 +221,7 @@ TEST(ConsistencyDuplicateLocationsTest, AllAlgorithmsAgree) {
       // band; the candidate superset must still cover every match.
       query.sketch.enabled = true;
       for (const int threads : {1, 3}) {
-        query.parallel = ParallelOptions{threads, 1};
+        options.threads = threads;
         JoinStats sketch_stats;
         ASSERT_TRUE(SameResults(RunSTPSJoin(db, query, options,
                                             &sketch_stats),
@@ -239,7 +235,6 @@ TEST(ConsistencyDuplicateLocationsTest, AllAlgorithmsAgree) {
                               JoinAlgorithmName(algorithm).data());
       }
       query.sketch = SketchOptions{};
-      query.parallel = ParallelOptions{};
     }
   }
 }

@@ -75,9 +75,9 @@ TEST_F(MappedDifferentialTest, JoinsIdenticalAcrossVariants) {
       for (const bool sketch : {false, true}) {
         STPSQuery q = query;
         q.sketch.enabled = sketch;
-        q.parallel.num_threads = threads;
         JoinOptions options;
         options.algorithm = algorithm;
+        options.threads = threads;
         JoinStats so, sh, sm;
         const auto ro = RunSTPSJoin(original_, q, options, &so);
         const auto rh = RunSTPSJoin(heap_, q, options, &sh);

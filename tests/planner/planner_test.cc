@@ -80,9 +80,9 @@ TEST_P(PlannerDifferentialTest, AutoJoinMatchesBruteForce) {
       for (const bool sketch : {false, true}) {
         query.sketch.enabled = sketch;
         for (const int threads : {1, 2, 8}) {
-          query.parallel = ParallelOptions{threads, 0};
           JoinOptions options;
           options.algorithm = JoinAlgorithm::kAuto;
+          options.threads = threads;
           JoinStats stats;
           const auto got = RunSTPSJoin(db, query, options, &stats);
           ASSERT_TRUE(SameResults(got, expected, /*tolerance=*/0.0))
@@ -97,7 +97,6 @@ TEST_P(PlannerDifferentialTest, AutoJoinMatchesBruteForce) {
         }
       }
       query.sketch = SketchOptions{};
-      query.parallel = ParallelOptions{};
     }
   }
 }
@@ -294,8 +293,9 @@ TEST(PlannerColdStartTest, FreshFeedbackSkipsAllPairsJoinsOnSparsePresets) {
       PlannerFeedback::Global().Reset();
       STPSQuery query = DefaultQuery(kind);
       query.eps_loc *= scale;
-      query.parallel.num_threads = 4;
-      const PhysicalPlan plan = PlanSTPSJoin(db, query);
+      JoinOptions options;
+      options.threads = 4;
+      const PhysicalPlan plan = PlanSTPSJoin(db, query, options);
       EXPECT_NE(plan.shape.join, JoinAlgorithm::kSPPJB)
           << DatasetKindName(kind) << " eps_loc=" << query.eps_loc;
       EXPECT_NE(plan.shape.join, JoinAlgorithm::kSPPJC)
@@ -566,9 +566,10 @@ TEST(PlannerPreconditionTest, InfeasibleShapesNeverEnumerated) {
   }
   // Thread budget is a ceiling: no enumerated shape exceeds it.
   {
-    STPSQuery query{0.1, 0.4, 0.3};
-    query.parallel.num_threads = 3;
-    const PhysicalPlan plan = PlanSTPSJoin(db, query);
+    const STPSQuery query{0.1, 0.4, 0.3};
+    JoinOptions options;
+    options.threads = 3;
+    const PhysicalPlan plan = PlanSTPSJoin(db, query, options);
     for (const PlanCandidate& c : plan.considered) {
       EXPECT_GE(c.shape.threads, 1);
       EXPECT_LE(c.shape.threads, 3);
@@ -639,13 +640,13 @@ TEST(PlannerExplainTest, RendersPlanAndCounterTable) {
 TEST(PlannerExplainTest, PinnedPlanReportsTheExplicitShape) {
   PlannerFeedback::Global().Reset();
   const ObjectDatabase db = FuzzDb(17, 1);
-  STPSQuery query{0.08, 0.3, 0.2};
-  query.parallel.num_threads = 2;
-  const PhysicalPlan chosen = PlanSTPSJoin(db, query);
+  const STPSQuery query{0.08, 0.3, 0.2};
+  JoinOptions options;
+  options.threads = 2;
+  const PhysicalPlan chosen = PlanSTPSJoin(db, query, options);
   for (const JoinAlgorithm algorithm :
        {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJF,
         JoinAlgorithm::kSPPJD, JoinAlgorithm::kBruteForce}) {
-    JoinOptions options;
     options.algorithm = algorithm;
     const PlanShape shape = ExplicitJoinShape(query, options);
     EXPECT_EQ(shape.join, algorithm);

@@ -188,6 +188,13 @@ TEST_F(ServerTest, JoinTopKProbeMatchLibraryCalls) {
   EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2"), join_expected);
   EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2 ALGO sppjb SKETCH THREADS 2"),
             join_expected);
+  // S-PPJ-B needs only eps_loc > 0; zero textual and similarity
+  // thresholds make a valid all-pairs query.
+  JoinOptions b_options;
+  b_options.algorithm = JoinAlgorithm::kSPPJB;
+  EXPECT_EQ(client.Query("JOIN 0.001 0 0 ALGO sppjb"),
+            ExpectedRows(db, RunSTPSJoin(db, {0.001, 0.0, 0.0}, b_options),
+                         snapshot->epoch));
   EXPECT_EQ(client.Query("TOPK 0.15 0.25 5 ALGO p"), topk_expected);
   EXPECT_EQ(client.Query("TOPK 0.15 0.25 5 SKETCH"), topk_expected);
   const std::string probe_request =
@@ -227,6 +234,17 @@ TEST_F(ServerTest, MalformedRequestsGetUsageErrors) {
   expect_err("INSERT onlyuser");            // too few fields
   expect_err("INSERT u 1.0zz 2.0 a,b");     // trailing garbage in number
   expect_err("SLEEP notanumber");
+  // In-range thresholds that fail the chosen algorithm's preconditions:
+  // a grid algorithm, or the sketch route, with eps_loc = 0 would abort
+  // the whole server inside the driver.
+  for (const char* request :
+       {"JOIN 0 0.5 0.5 ALGO sppjf", "JOIN 0 0.5 0.5 ALGO sppjb",
+        "JOIN 0 0.5 0.5 ALGO sppjc", "JOIN 0 0.5 0.5 ALGO sppjd SKETCH",
+        "TOPK 0 0.5 5 ALGO f", "TOPK 0 0.5 5 ALGO s", "TOPK 0 0.5 5 ALGO p"}) {
+    expect_err(request);
+    ASSERT_TRUE(client.SendLine("PING"));
+    EXPECT_EQ(client.ReadLine(), "OK pong") << request;
+  }
   // The connection still works after every error.
   ASSERT_TRUE(client.SendLine("PING"));
   EXPECT_EQ(client.ReadLine(), "OK pong");

@@ -69,6 +69,19 @@ def main():
         check(doc["plan"]["shape"] == doc["considered"][0]["shape"],
               "kAuto's plan is not the cheapest considered shape")
         check(len(chosen) >= 1, "kAuto's table has no [chosen] mark")
+
+        # --threads is the join's thread budget: an explicit algorithm
+        # runs at it, kAuto plans within it.
+        doc, _ = explain(cli, "join", data, "0.001", "0.4", "0.4",
+                         "--threads", "2", "sppjf")
+        check(doc["plan"]["shape"] == "S-PPJ-F" and
+              doc["plan"]["threads"] == 2,
+              f"--threads 2 sppjf planned {doc['plan']}")
+        doc, _ = explain(cli, "join", data, "0.001", "0.4", "0.4",
+                         "--threads", "2")
+        threads = {c["threads"] for c in doc["considered"]}
+        check(threads == {1, 2},
+              f"--threads 2 considered shapes at threads {sorted(threads)}")
     print("cli_explain_test: ok")
 
 

@@ -6,7 +6,7 @@
 //   stps_cli stats <data.tsv>
 //       Print Table-1-style descriptive statistics.
 //   stps_cli join <data.tsv> <eps_loc> <eps_doc> <eps_u> [--sketch]
-//       [--explain] [--mapped] [--shards N] [--prefetch] [algorithm]
+//       [--explain] [--mapped] [--threads N] [algorithm]
 //       Run STPSJoin (algorithm: auto | sppjc | sppjb | sppjf | sppjd |
 //       brute; default auto — the cost-model planner picks). Prints one
 //       "userA userB sigma" row per pair. --sketch draws candidates from
@@ -15,10 +15,9 @@
 //       explicit algorithm), the planner's candidate table, the planner
 //       feedback state and an estimated-vs-actual counter table.
 //       --mapped opens a .stpsdb v3 snapshot via mmap (O(1) open, pages
-//       on demand). --shards N partitions the join by user
-//       range onto N threads (bit-identical results; implies sppjf when
-//       the algorithm is auto). --prefetch advises the kernel about the
-//       scan (madvise) before the join — useful with --mapped.
+//       on demand). --threads N is the join's thread budget (default 1):
+//       an explicit algorithm runs its pool-parallel driver on N
+//       workers, auto plans within it (bit-identical results).
 //   stps_cli topk <data.tsv> <eps_loc> <eps_doc> <k> [--sketch]
 //       [--explain] [--mapped] [variant]
 //       Run top-k STPSJoin (variant: auto | f | s | p | brute; default
@@ -74,7 +73,7 @@ int Usage() {
       "  stps_cli stats <data.tsv>\n"
       "  stps_cli convert <in.tsv|in.stpsdb> <out.tsv|out.stpsdb>\n"
       "  stps_cli join <data.tsv> <eps_loc> <eps_doc> <eps_u> [--sketch] "
-      "[--explain] [--mapped] [--shards N] [--prefetch] "
+      "[--explain] [--mapped] [--threads N] "
       "[auto|sppjc|sppjb|sppjf|sppjd|brute]\n"
       "  stps_cli topk <data.tsv> <eps_loc> <eps_doc> <k> [--sketch] "
       "[--explain] [--mapped] [auto|f|s|p|brute]\n"
@@ -111,6 +110,14 @@ bool ParseIntArg(const char* what, const char* arg, int min_value,
   if (ParseInt(arg, min_value, max_value, out)) return true;
   std::fprintf(stderr, "error: invalid %s: '%s' (expected %d..%d)\n", what,
                arg, min_value, max_value);
+  return false;
+}
+
+// An algorithm's unmet preconditions (core/stpsjoin.h) are argv errors
+// too: the drivers would abort on them.
+bool CheckValid(const Status& status) {
+  if (status.ok()) return true;
+  std::fprintf(stderr, "error: %s\n", status.message().c_str());
   return false;
 }
 
@@ -217,10 +224,10 @@ void PrintExplainJson(const char* command, const PhysicalPlan& plan,
                       double elapsed_ms) {
   std::printf("{\n  \"command\": \"%s\",\n", command);
   std::printf(
-      "  \"plan\": {\"shape\": \"%s\", \"threads\": %d, \"grain\": %zu, "
+      "  \"plan\": {\"shape\": \"%s\", \"threads\": %d, "
       "\"rtree_fanout\": %d, \"cost_units\": %.6g, \"predicted_ms\": "
       "%.6g},\n",
-      PlanShapeName(plan.shape).c_str(), plan.shape.threads, plan.grain,
+      PlanShapeName(plan.shape).c_str(), plan.shape.threads,
       plan.rtree_fanout, plan.cost_units, plan.predicted_ms);
   std::printf("  \"considered\": [");
   for (size_t i = 0; i < plan.considered.size(); ++i) {
@@ -306,21 +313,15 @@ int CmdJoin(int argc, char** argv) {
       explain = true;
     } else if (name == "--mapped") {
       mapped = true;
-    } else if (name == "--prefetch") {
-      options.prefetch = true;
-    } else if (name == "--shards" && i + 1 < argc) {
-      if (!ParseIntArg("shards", argv[++i], 1, 256, &options.shards)) {
+    } else if (name == "--threads" && i + 1 < argc) {
+      if (!ParseIntArg("threads", argv[++i], 1, 256, &options.threads)) {
         return Usage();
       }
     } else {
       return Usage();
     }
   }
-  // Sharded execution runs the S-PPJ-F pipeline; pin the algorithm so
-  // kAuto cannot plan a sketch run that would bypass the shard driver.
-  if (options.shards > 1 && options.algorithm == JoinAlgorithm::kAuto) {
-    options.algorithm = JoinAlgorithm::kSPPJF;
-  }
+  if (!CheckValid(ValidateJoinQuery(query, options))) return Usage();
   ObjectDatabase db;
   if (!LoadDatabase(argv[2], &db, mapped)) return 1;
   // Report the executed shape: kAuto's choice, or the explicit one.
@@ -380,6 +381,7 @@ int CmdTopK(int argc, char** argv) {
       return Usage();
     }
   }
+  if (!CheckValid(ValidateTopKQuery(query, algorithm))) return Usage();
   ObjectDatabase db;
   if (!LoadDatabase(argv[2], &db, mapped)) return 1;
   PhysicalPlan plan = PlanTopKSTPSJoin(db, query);
@@ -407,8 +409,6 @@ int CmdTopK(int argc, char** argv) {
 
 int CmdTune(int argc, char** argv) {
   if (argc < 7) return Usage();
-  ObjectDatabase db;
-  if (!LoadDatabase(argv[2], &db)) return 1;
   TuningOptions options;
   if (!ParseSizeArg("target_size", argv[3], &options.target_size) ||
       !ParseDoubleArg("eps_loc0", argv[4], &options.initial.eps_loc) ||
@@ -416,6 +416,15 @@ int CmdTune(int argc, char** argv) {
       !ParseDoubleArg("eps_u0", argv[6], &options.initial.eps_u)) {
     return Usage();
   }
+  if (options.target_size == 0 || options.initial.eps_doc <= 0.0 ||
+      options.initial.eps_u <= 0.0) {
+    std::fprintf(stderr,
+                 "error: tune requires target_size, eps_doc0 and eps_u0 "
+                 "> 0\n");
+    return Usage();
+  }
+  ObjectDatabase db;
+  if (!LoadDatabase(argv[2], &db)) return 1;
   const TuningResult result = TuneThresholds(db, options);
   std::fprintf(stderr,
                "initial join (planner): %.1f ms; tuning: %zu iterations in %.1f "
