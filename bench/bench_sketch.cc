@@ -1,12 +1,15 @@
-// Candidate-growth benchmark for the sketch layer: sweeps the number of
-// users on the CheckinSparse preset (city count scales with users, so
-// the true close-pair graph grows near-linearly) and reports how many
-// exact pair verifications each strategy performs:
+// Candidate-growth benchmark for the standalone sketch layer: sweeps the
+// number of users on the CheckinSparse preset (city count scales with
+// users, so the true close-pair graph grows near-linearly) and reports
+// how many exact pair verifications each strategy performs:
 //
 //   brute_pairs       C(n, 2) — what brute force verifies
 //   baseline_verified what S-PPJ-F's filter stage lets through
 //   sketch_candidates what the band index generates (== verifications,
 //                     since every sketch candidate is exactly verified)
+//
+// The sketch index is built once per sweep point (BuildUserSketches),
+// outside sketch_ms, which times SketchSTPSJoin alone.
 //
 // The gates are work counters, not wall-clock — exactly reproducible on
 // any machine at any load:
@@ -33,6 +36,8 @@
 #include "common/timer.h"
 #include "core/join_stats.h"
 #include "core/stpsjoin.h"
+#include "sketch/sketch.h"
+#include "sketch/sketch_join.h"
 
 namespace stps::bench {
 namespace {
@@ -67,7 +72,7 @@ SweepRow RunSweepPoint(size_t users) {
   SweepRow row;
   row.users = users;
   const ObjectDatabase& db = GetDataset(DatasetKind::kCheckinSparse, users);
-  STPSQuery query = DefaultQuery(DatasetKind::kCheckinSparse);
+  const STPSQuery query = DefaultQuery(DatasetKind::kCheckinSparse);
   row.brute_pairs = static_cast<uint64_t>(users) * (users - 1) / 2;
 
   JoinStats baseline_stats;
@@ -77,10 +82,11 @@ SweepRow RunSweepPoint(size_t users) {
   row.baseline_verified = baseline_stats.pairs_verified;
   RecordJoinStats("S-PPJ-F", baseline_stats);
 
-  query.sketch.enabled = true;
+  const auto sketches = BuildUserSketches(db);
   JoinStats sketch_stats;
   Timer sketch_timer;
-  const auto sketched = RunSTPSJoin(db, query, {}, &sketch_stats);
+  const auto sketched =
+      SketchSTPSJoin(db, *sketches, query, ParallelOptions{}, &sketch_stats);
   row.sketch_ms = sketch_timer.ElapsedMillis();
   row.sketch_candidates = sketch_stats.sketch_candidate_pairs;
   row.sketch_rejections = sketch_stats.sketch_rejections;

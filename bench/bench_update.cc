@@ -13,7 +13,7 @@
 // Correctness is asserted inline: the delta store's result must report
 // delta=true (full=false on the twin), and a structural checksum over
 // the published databases (SoA columns, token arena, insertion order,
-// dictionary, sketch MinHash rows) must match between the two paths —
+// dictionary) must match between the two paths —
 // any splice bug aborts the bench, which is what makes the
 // `delta_full_checksum_match` series a gateable 1.0.
 //
@@ -34,7 +34,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "core/update.h"
-#include "sketch/sketch.h"
 
 namespace stps::bench {
 namespace {
@@ -45,8 +44,8 @@ uint64_t Mix(uint64_t h, uint64_t x) {
 }
 
 // Structural checksum of a published database: covers the slot layout,
-// SoA mirrors, token arena, insertion order, dictionary order, and the
-// sketch MinHash rows — everything the splice path stitches together.
+// SoA mirrors, token arena, insertion order and dictionary order —
+// everything the splice path stitches together.
 uint64_t DatabaseChecksum(const ObjectDatabase& db) {
   uint64_t h = 0x2545F4914F6CDD1Dull;
   h = Mix(h, db.num_objects());
@@ -64,9 +63,6 @@ uint64_t DatabaseChecksum(const ObjectDatabase& db) {
       h = Mix(h, static_cast<unsigned char>(c));
     }
     h = Mix(h, db.dictionary().Frequency(t));
-  }
-  if (db.has_sketches()) {
-    for (const uint64_t m : db.sketches().parts().minhash) h = Mix(h, m);
   }
   return h;
 }

@@ -37,6 +37,11 @@ python3 "$ROOT/scripts/compare_bench.py" \
     --require 'verify_reduction_at_max>=3' \
     --require 'candidate_growth_exponent<=1.95' \
     "$ROOT/BENCH_sketch.json" "$ROOT/BENCH_sketch.json"
+# The same verification floor on the fresh smoke run of the standalone
+# sketch driver (11.2 at 200 users).
+python3 "$ROOT/scripts/compare_bench.py" \
+    --require 'verify_reduction_at_max>=3' \
+    "$SMOKE_DIR/sketch.json" "$SMOKE_DIR/sketch.json"
 # Planner gates: kAuto within 25% of the best static plan (geomean), no
 # slower than always picking the static default, and a fresh process's
 # first kAuto run within 2x of the best static plan.

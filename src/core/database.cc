@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "planner/planner_stats.h"
-#include "sketch/sketch.h"
 #include "spatial/batch.h"
 #include "text/token_set.h"
 
@@ -144,13 +143,10 @@ ObjectDatabase DatabaseBuilder::Build() && {
   db.sigs_ = std::move(sigs);
   db.insertion_order_ = std::move(order);
   objects_.clear();
-  // The sketch layer reads the finished database (bounds, user spans,
-  // token arena), so it is the last construction step; io/binary.cc
-  // round-trips rebuild it automatically by funnelling through here.
-  db.sketches_ = BuildUserSketches(db);
-  // Planner statistics likewise read the finished database; caching them
-  // here is what lets ComputeDatasetStats and the query planner skip
-  // their own scans (and io/binary.cc serialize the summary).
+  // Planner statistics read the finished database, so they are the last
+  // construction step; caching them here is what lets
+  // ComputeDatasetStats and the query planner skip their own scans (and
+  // io/binary.cc serialize the summary).
   db.planner_stats_ =
       std::make_shared<const PlannerStats>(ComputePlannerStats(db));
   return db;

@@ -25,9 +25,8 @@
 
 namespace stps {
 
-class UserSketchIndex;  // sketch/sketch.h
-struct PlannerStats;    // planner/planner_stats.h
-class SnapshotLoader;   // io/snapshot_v3.cc
+struct PlannerStats;   // planner/planner_stats.h
+class SnapshotLoader;  // io/snapshot_v3.cc
 
 /// Immutable database of spatio-textual objects grouped by user.
 ///
@@ -150,16 +149,6 @@ class ObjectDatabase {
   /// objects index into it.
   const Dictionary& dictionary() const { return dictionary_; }
 
-  /// The per-user sketch layer (MinHash signatures, occupancy bitmaps,
-  /// and the band index; sketch/sketch.h), built once at Build time —
-  /// query-independent, like the SoA mirrors. Present on every built
-  /// database; a default-constructed (empty) database has none.
-  const UserSketchIndex& sketches() const {
-    STPS_DCHECK(sketches_ != nullptr);
-    return *sketches_;
-  }
-  bool has_sketches() const { return sketches_ != nullptr; }
-
   /// The build-time statistics summary the query planner reads (dyadic
   /// occupancy ladder, token skew, Table-1 dataset stats; see
   /// planner/planner_stats.h). Computed once by DatabaseBuilder::Build —
@@ -190,7 +179,6 @@ class ObjectDatabase {
   Dictionary dictionary_;
   // shared_ptr (not unique_ptr): the deleter is type-erased, so the
   // forward declaration above suffices for the implicit special members.
-  std::shared_ptr<const UserSketchIndex> sketches_;
   std::shared_ptr<const PlannerStats> planner_stats_;
   // Keep-alive for borrowed columns (the mmap'd region). Destruction
   // order is irrelevant: no member destructor dereferences a view.

@@ -37,8 +37,9 @@
 //  * sketch_candidate_pairs — user pairs surfaced by the per-user sketch
 //                            layer's band index (sketch/sketch.h); every
 //                            one of them flows into the exact verify
-//                            path, so for the sketch drivers this equals
-//                            pairs_candidate.
+//                            path, so for the standalone sketch drivers
+//                            (sketch/sketch_join.h) this equals
+//                            pairs_candidate. 0 for every other driver.
 //  * sketch_rejections     — band-index pairs disproven by the occupancy
 //                            sketches before verification (each such
 //                            rejection is an exact spatial separation

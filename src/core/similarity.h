@@ -11,23 +11,19 @@
 
 #include "common/thread_pool.h"
 #include "core/database.h"
-#include "sketch/options.h"
 #include "stjoin/object.h"
 
 namespace stps {
 
 /// An STPSJoin query Q = <eps_loc, eps_doc, eps_u> (Definition 1), plus
 /// the optional temporal threshold of the future-work extension
-/// (infinite by default, i.e. disabled) and the sketch candidate-
-/// generation opt-in (off by default; see sketch/options.h — enabling it
-/// never changes results). A join's thread budget is JoinOptions::threads
-/// (core/stpsjoin.h).
+/// (infinite by default, i.e. disabled). A join's thread budget is
+/// JoinOptions::threads (core/stpsjoin.h).
 struct STPSQuery {
   double eps_loc = 0.0;
   double eps_doc = 0.0;
   double eps_u = 0.0;
   double eps_time = std::numeric_limits<double>::infinity();
-  SketchOptions sketch = {};
 
   MatchThresholds match_thresholds() const {
     return {eps_loc, eps_doc, eps_time};
@@ -35,15 +31,14 @@ struct STPSQuery {
 };
 
 /// A top-k STPSJoin query Q = <eps_loc, eps_doc, k> (Definition 2), with
-/// the same temporal and sketch knobs, plus its parallel-execution knobs
-/// (sequential by default; see common/thread_pool.h).
+/// the same temporal knob, plus its parallel-execution knobs (sequential
+/// by default; see common/thread_pool.h).
 struct TopKQuery {
   double eps_loc = 0.0;
   double eps_doc = 0.0;
   size_t k = 10;
   double eps_time = std::numeric_limits<double>::infinity();
   ParallelOptions parallel = {};
-  SketchOptions sketch = {};
 
   MatchThresholds match_thresholds() const {
     return {eps_loc, eps_doc, eps_time};

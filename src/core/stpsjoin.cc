@@ -12,7 +12,6 @@
 #include "core/sppj_f_parallel.h"
 #include "planner/feedback.h"
 #include "planner/planner.h"
-#include "sketch/sketch_join.h"
 
 namespace stps {
 
@@ -28,11 +27,8 @@ uint64_t RoundCount(double v) {
 std::vector<ScoredUserPair> DispatchJoin(const ObjectDatabase& db,
                                          const STPSQuery& query,
                                          const JoinOptions& options,
-                                         const PlanShape& shape,
-                                         JoinStats* stats) {
-  const int threads = shape.threads;
+                                         int threads, JoinStats* stats) {
   const ParallelOptions parallel{threads, 0};
-  if (shape.sketch) return SketchSTPSJoin(db, query, parallel, stats);
   switch (options.algorithm) {
     case JoinAlgorithm::kBruteForce: {
       std::vector<ScoredUserPair> result = BruteForceSTPSJoin(db, query);
@@ -73,8 +69,7 @@ std::vector<ScoredUserPair> DispatchJoin(const ObjectDatabase& db,
 std::vector<ScoredUserPair> DispatchTopK(const ObjectDatabase& db,
                                          const TopKQuery& query,
                                          TopKAlgorithm algorithm,
-                                         bool use_sketch, JoinStats* stats) {
-  if (use_sketch) return SketchTopKSTPSJoin(db, query, query.parallel, stats);
+                                         JoinStats* stats) {
   const bool parallel = query.parallel.num_threads > 1;
   switch (algorithm) {
     case TopKAlgorithm::kBruteForce: {
@@ -135,12 +130,8 @@ Status ValidateJoinQuery(const STPSQuery& query, const JoinOptions& options) {
     return Status::InvalidArgument(name +
                                    " requires eps_doc > 0 and eps_u > 0");
   }
-  const bool sketch = ExplicitJoinShape(query, options).sketch;
-  if (!(query.eps_loc > 0.0) &&
-      (algorithm != JoinAlgorithm::kSPPJD || sketch)) {
-    return Status::InvalidArgument(
-        (sketch ? "sketch candidate generation" : name) +
-        " requires eps_loc > 0");
+  if (!(query.eps_loc > 0.0) && algorithm != JoinAlgorithm::kSPPJD) {
+    return Status::InvalidArgument(name + " requires eps_loc > 0");
   }
   return Status::OK();
 }
@@ -151,8 +142,8 @@ Status ValidateTopKQuery(const TopKQuery& query, TopKAlgorithm algorithm) {
       algorithm == TopKAlgorithm::kAuto) {
     return Status::OK();
   }
-  // kF/kS/kP and the sketch route ExplicitTopKShape picks for them share
-  // the eps_loc user grid and the token-sharing candidate index.
+  // kF/kS/kP share the eps_loc user grid and the token-sharing candidate
+  // index.
   if (!(query.eps_loc > 0.0 && query.eps_doc > 0.0)) {
     return Status::InvalidArgument(std::string(TopKAlgorithmName(algorithm)) +
                                    " requires eps_loc > 0 and eps_doc > 0");
@@ -166,16 +157,13 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
                                         JoinStats* stats) {
   if (options.algorithm == JoinAlgorithm::kAuto) {
     const PhysicalPlan plan = PlanSTPSJoin(db, query, options);
-    STPSQuery resolved = query;
-    resolved.sketch.enabled = plan.shape.sketch;
     JoinOptions ropts = options;
     ropts.algorithm = plan.shape.join;
     ropts.threads = plan.shape.threads;
     ropts.rtree_fanout = plan.rtree_fanout;
     // The recursive call times the run and records the feedback; here we
     // only track whether the choice moved since the last identical query.
-    std::vector<ScoredUserPair> result =
-        RunSTPSJoin(db, resolved, ropts, stats);
+    std::vector<ScoredUserPair> result = RunSTPSJoin(db, query, ropts, stats);
     const bool switched = PlannerFeedback::Global().NoteChosenPlan(
         plan.query_signature, plan.shape);
     if (stats != nullptr) {
@@ -186,9 +174,7 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
     return result;
   }
 
-  // The thread count and the sketch routing (planner/planner.h); when
-  // the sketch filter is unsound the requested algorithm runs unchanged.
-  const PlanShape shape = ExplicitJoinShape(query, options);
+  const PlanShape shape = ExplicitJoinShape(options);
 
   // Time the run and fold the measurement into the planner's feedback —
   // for explicit choices too, so benchmark sweeps over the static
@@ -205,7 +191,7 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
   JoinStats* sink = stats != nullptr ? stats : &local;
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScoredUserPair> result =
-      DispatchJoin(db, query, options, shape, sink);
+      DispatchJoin(db, query, options, shape.threads, sink);
   if (record) {
     PlannerFeedback::Global().Record(shape, estimate, cost_units, *sink,
                                      ElapsedMs(start));
@@ -224,7 +210,6 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(const ObjectDatabase& db,
   if (algorithm == TopKAlgorithm::kAuto) {
     const PhysicalPlan plan = PlanTopKSTPSJoin(db, query);
     TopKQuery resolved = query;
-    resolved.sketch.enabled = plan.shape.sketch;
     resolved.parallel.num_threads = plan.shape.threads;
     std::vector<ScoredUserPair> result =
         RunTopKSTPSJoin(db, resolved, plan.shape.topk_algorithm, stats);
@@ -239,7 +224,6 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(const ObjectDatabase& db,
   }
 
   const PlanShape shape = ExplicitTopKShape(query, algorithm);
-  const bool use_sketch = shape.sketch;
 
   const bool record = db.has_planner_stats();
   PlanEstimate estimate;
@@ -255,7 +239,7 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(const ObjectDatabase& db,
   JoinStats* sink = stats != nullptr ? stats : &local;
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScoredUserPair> result =
-      DispatchTopK(db, query, algorithm, use_sketch, sink);
+      DispatchTopK(db, query, algorithm, sink);
   if (record) {
     PlannerFeedback::Global().Record(shape, estimate, cost_units, *sink,
                                      ElapsedMs(start));

@@ -18,8 +18,8 @@ namespace stps {
 
 /// STPSJoin evaluation strategies (Section 4.1 + brute force). kAuto
 /// defers the choice to the cost-model planner (planner/planner.h):
-/// the plan decides the concrete algorithm, sketch candidate generation,
-/// and sequential-vs-pooled execution within the caller's thread budget.
+/// the plan decides the concrete algorithm and sequential-vs-pooled
+/// execution within the caller's thread budget.
 /// All strategies are exact, so kAuto returns bit-identical results to
 /// every explicit choice — only the work differs.
 enum class JoinAlgorithm {
@@ -57,10 +57,7 @@ struct JoinOptions {
 /// query, as an InvalidArgument naming the one that fails. The grid
 /// algorithms (S-PPJ-B/C/F) bucket objects into eps_loc cells and need
 /// eps_loc > 0; the filter-at-a-time pair (S-PPJ-F/D) also needs
-/// eps_doc > 0 and eps_u > 0; sketch candidate generation, which
-/// ExplicitJoinShape picks for any non-brute algorithm when
-/// query.sketch.enabled, re-walks the eps_loc grid and so needs
-/// eps_loc > 0 too. Brute force and kAuto (whose planner only
+/// eps_doc > 0 and eps_u > 0. Brute force and kAuto (whose planner only
 /// enumerates feasible shapes) accept every query.
 Status ValidateJoinQuery(const STPSQuery& query, const JoinOptions& options);
 
@@ -69,14 +66,6 @@ Status ValidateJoinQuery(const STPSQuery& query, const JoinOptions& options);
 /// bit-identical at any thread count. Precondition:
 /// ValidateJoinQuery(query, options).ok(). `stats` (optional) receives
 /// the per-stage filter counters of the run.
-///
-/// When query.sketch.enabled (and eps_doc > 0, eps_u > 0), candidate
-/// pairs come from the per-user sketch layer instead of the chosen
-/// algorithm's filter stage and are settled by the exact PPJ-B kernel:
-/// same results, same order, same scores — only the work differs (see
-/// sketch/sketch.h; JoinStats::sketch_* report the candidate flow).
-/// Brute force ignores the knob; kAuto decides it per query (the planner
-/// may turn sketches on even when the query left them off).
 ///
 /// Every run — explicit algorithms included — feeds its measured
 /// JoinStats and wall-clock back into PlannerFeedback, so kAuto's cost
@@ -89,17 +78,13 @@ std::vector<ScoredUserPair> RunSTPSJoin(const ObjectDatabase& db,
 /// The preconditions RunTopKSTPSJoin needs for `algorithm`: k > 0
 /// always, and eps_loc > 0 and eps_doc > 0 for the index-based variants
 /// (kF/kS/kP build the eps_loc grid and their index admits only users
-/// sharing a token) and for the sketch route ExplicitTopKShape picks
-/// for them. Brute force and kAuto need only k > 0.
+/// sharing a token). Brute force and kAuto need only k > 0.
 Status ValidateTopKQuery(const TopKQuery& query, TopKAlgorithm algorithm);
 
 /// Evaluates the top-k query; results best-first under TopKBetter.
 /// Precondition: ValidateTopKQuery(query, algorithm).ok(). When
 /// query.parallel.num_threads > 1, the index-based variants run on the
-/// work-stealing pool (identical results at any thread count). When
-/// query.sketch.enabled, every index-based variant verifies the sketch
-/// layer's candidates in count-min heavy-hitters order instead —
-/// bit-identical results, work reported via JoinStats::sketch_*.
+/// work-stealing pool (identical results at any thread count).
 std::vector<ScoredUserPair> RunTopKSTPSJoin(
     const ObjectDatabase& db, const TopKQuery& query,
     TopKAlgorithm algorithm = TopKAlgorithm::kP, JoinStats* stats = nullptr);

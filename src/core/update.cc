@@ -8,7 +8,6 @@
 
 #include "common/timer.h"
 #include "planner/planner_stats.h"
-#include "sketch/sketch.h"
 #include "spatial/batch.h"
 #include "text/dictionary.h"
 #include "text/token_set.h"
@@ -50,7 +49,7 @@ UpdatableDatabase::UpdatableDatabase(UpdateOptions options)
     : options_(options) {
   // Epoch 0 is a *built* empty database, not a default-constructed one:
   // queries rely on Build()'s invariants (user_begin_ sentinel, planner
-  // stats, sketch index) even when the database holds nothing yet.
+  // stats) even when the database holds nothing yet.
   auto initial = std::make_shared<DatabaseSnapshot>();
   DatabaseBuilder builder;
   initial->db = std::move(builder).Build();
@@ -72,7 +71,6 @@ uint32_t UpdatableDatabase::InternToken(std::string_view token) {
   if (inserted) {
     token_strings_.emplace_back(token);
     token_df_.push_back(0);
-    token_stable_hash_.push_back(StableTokenHash(token));
     token_dirty_.push_back(0);
   }
   return it->second;
@@ -113,8 +111,7 @@ void UpdatableDatabase::InsertLocked(const RawObject& object) {
   }
 
   // An insert outside the published bounds grows them, which would shift
-  // every Z-order key and sketch grid frame — only a full rebuild can
-  // absorb that. Inserts inside (or on) the bounds leave them untouched.
+  // every Z-order key — only a full rebuild can absorb that. Inserts inside (or on) the bounds leave them untouched.
   // Safe without snapshot_mutex_: snapshot_ is only ever reassigned under
   // mutex_, which this thread holds.
   const Rect& bounds = snapshot_->db.bounds();
@@ -259,8 +256,8 @@ ObjectDatabase UpdatableDatabase::BuildFullLocked(PublishScaffold* out) {
   // Surviving objects replay through DatabaseBuilder in their original
   // insertion order, which makes the published database definitionally
   // identical to a fresh build of the survivors — Build() refreshes the
-  // Z-order layout, CSR arena, SoA mirrors, signatures, sketch index,
-  // and PlannerStats in one pass.
+  // Z-order layout, CSR arena, SoA mirrors, signatures and PlannerStats
+  // in one pass.
   std::vector<const Slot*> live;
   live.reserve(slots_.size() - free_slots_.size());
   for (const Slot& slot : slots_) {
@@ -310,7 +307,7 @@ ObjectDatabase UpdatableDatabase::BuildDeltaLocked(const ObjectDatabase& prev,
   // store, splice every other user's columns from `prev`. Bit-identity
   // with BuildFullLocked rests on three facts the guards established:
   //  * bounds are unchanged (no out-of-bounds insert, no boundary
-  //    delete), so Z-order keys and sketch grid frames are unchanged;
+  //    delete), so Z-order keys are unchanged;
   //  * only whole-user deletes exist, so a retained user kept all its
   //    previous objects — its block survives verbatim modulo token-id
   //    remapping and replay-rank compaction;
@@ -351,8 +348,8 @@ ObjectDatabase UpdatableDatabase::BuildDeltaLocked(const ObjectDatabase& prev,
   }
   const size_t num_users = new_users.size();
 
-  // prev id -> new id for *clean* retained users (sketch splice targets,
-  // planner-pair rewrites); prev_retained additionally covers dirty
+  // prev id -> new id for *clean* retained users (planner-pair
+  // rewrites); prev_retained additionally covers dirty
   // retained users (their previous objects survive, their blocks don't).
   std::vector<uint32_t> prev_to_new_user(prev.num_users(), kNone);
   std::vector<uint8_t> prev_retained(prev.num_users(), 0);
@@ -407,14 +404,12 @@ ObjectDatabase UpdatableDatabase::BuildDeltaLocked(const ObjectDatabase& prev,
   dict_strings.reserve(dict_store_ids.size());
   dict_freq.reserve(dict_store_ids.size());
   std::vector<TokenId> store_to_new(token_df_.size(), kNone);
-  std::vector<uint64_t> stable_hashes(dict_store_ids.size());
   for (uint32_t i = 0; i < dict_store_ids.size(); ++i) {
     const uint32_t t = dict_store_ids[i];
     STPS_DCHECK(token_df_[t] > 0);
     store_to_new[t] = static_cast<TokenId>(i);
     dict_strings.push_back(token_strings_[t]);
     dict_freq.push_back(token_df_[t]);
-    stable_hashes[i] = token_stable_hash_[t];
   }
   stage("dict-sort");
   // prev token id -> new token id: a pure array composition through the
@@ -633,20 +628,7 @@ ObjectDatabase UpdatableDatabase::BuildDeltaLocked(const ObjectDatabase& prev,
   db.insertion_order_ = std::move(insertion_order);
 
   stage("assemble");
-  // --- 7. Sketch layer: splice clean users' rows, recompute dirty. ---
-  STPS_CHECK(prev.has_sketches());
-  std::vector<uint32_t> sketch_prev_of_new(num_users, kNone);
-  for (uint32_t nu = 0; nu < num_users; ++nu) {
-    const NewUser& info = new_users[nu];
-    if (info.prev != kNone && !info.dirty) sketch_prev_of_new[nu] = info.prev;
-  }
-  db.sketches_ = std::make_shared<const UserSketchIndex>(
-      db, prev.sketches(), std::span<const uint32_t>(sketch_prev_of_new),
-      prev.sketches().params(),
-      std::span<const uint64_t>(stable_hashes));
-
-  stage("sketch");
-  // --- 8. Planner stats from the maintained key multiset: drop dirty /
+  // --- 7. Planner stats from the maintained key multiset: drop dirty /
   // deleted users' pairs, rewrite clean users' ids, merge in the dirty
   // users' recomputed pairs. Keys are bounds-relative and bounds are
   // unchanged, so kept keys are exact. ---

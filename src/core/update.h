@@ -3,7 +3,7 @@
 //
 // The paper's join algorithms run against an immutable, heavily
 // layout-optimised ObjectDatabase (user-grouped Z-order slots, CSR token
-// arena, SoA mirrors, grid cells, sketches, planner stats — see
+// arena, SoA mirrors, grid cells, planner stats — see
 // DESIGN.md). Those structures are interlinked by spans and prefix sums;
 // mutating them in place would invalidate every reader. Instead this
 // layer splits the lifecycle in two:
@@ -14,8 +14,8 @@
 //    compacted. No query ever reads the store.
 //  * Publish() produces the next epoch's immutable ObjectDatabase and
 //    swaps it in. Small deltas take the O(delta) splice path: only dirty
-//    users' blocks (Z-order reorder, SoA mirrors, signatures, sketch
-//    rows, planner keys) are rebuilt, everything else is copied from the
+//    users' blocks (Z-order reorder, SoA mirrors, signatures, planner
+//    keys) are rebuilt, everything else is copied from the
 //    previous snapshot's columns. Large deltas — or mutations that
 //    invalidate a global structure (bounds growth, boundary deletes) —
 //    fall back to replaying every survivor through
@@ -268,10 +268,6 @@ class UpdatableDatabase {
   // are stable for the store's lifetime (compaction never renumbers
   // them), so token_df_ is a plain parallel array.
   std::vector<uint32_t> token_df_;     // live document frequency per token
-  // StableTokenHash per store token, computed once at intern time; the
-  // delta path hands these to the sketch splice so it never re-hashes
-  // the dictionary's strings.
-  std::vector<uint64_t> token_stable_hash_;
   // Tokens whose df changed since the last publish (flag + dense list,
   // reset by RefreshAfterPublishLocked). Everything *not* here kept its
   // (df, string) sort key, so the previous dictionary order splices.

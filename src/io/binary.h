@@ -11,12 +11,14 @@
 //
 //  * v3 "STPSDB03" — a relocatable, 64-byte-aligned arena that *is* the
 //    in-memory layout: the CSR token arena, SoA mirrors, per-user spans,
-//    dictionary, planner stats, and sketch layer as flat sections
-//    addressed by offsets (see io/format_v3.h for the byte layout and
-//    DESIGN.md §10 for the design). ReadBinaryMapped opens a v3 file
-//    with mmap in O(1) and pages on demand; ReadBinary reads it to heap
-//    and fully verifies every section checksum plus the structural
-//    cross-checks (planner-stats and sketch rebuild comparison).
+//    dictionary and planner stats as flat sections addressed by offsets
+//    (see io/format_v3.h for the byte layout and DESIGN.md §10 for the
+//    design). ReadBinaryMapped opens a v3 file with mmap in O(1) and
+//    pages on demand; ReadBinary reads it to heap and fully verifies
+//    every section checksum plus the structural cross-checks (planner
+//    stats rebuild comparison). Files written while the database still
+//    carried a sketch layer open through every reader; their reserved
+//    sketch sections are checksummed but never decoded.
 //
 // WriteBinary defaults to v3; pass SnapshotFormat::kV2Stream for the
 // legacy stream. ReadBinary dispatches on the magic, so existing callers
@@ -70,8 +72,8 @@ class MappedSnapshot {
   Result<ObjectDatabase> Load() const;
 
   /// Like Load() but additionally verifies every section checksum, the
-  /// whole-file checksum, recomputed signatures, planner stats, and a
-  /// sketch-layer rebuild comparison. Reads the entire file.
+  /// whole-file checksum, recomputed signatures and planner stats. Reads
+  /// the entire file.
   Result<ObjectDatabase> LoadVerified() const;
 
   /// Size of the mapped file in bytes. Zero for a default-constructed

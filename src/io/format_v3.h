@@ -60,6 +60,12 @@ inline bool FitsU32(uint64_t v) { return v <= 0xFFFFFFFFull; }
 
 /// Section identifiers. Values are stable on-disk contract; new kinds
 /// append, existing values never change meaning.
+///
+/// Kinds 16-26 held the per-user sketch layer, which files written
+/// before the sketch was detached from the database still carry (with
+/// flags bit 1). They stay reserved: the writer never emits them, and
+/// readers range-check their table entries and, when verifying, their
+/// checksums, but decode nothing from them.
 enum SectionKind : uint32_t {
   kSecUserBegin = 1,        // u32 x (num_users + 1)
   kSecTokenBegin = 2,       // u32 x (num_objects + 1)
@@ -76,17 +82,18 @@ enum SectionKind : uint32_t {
   kSecDictBlob = 13,         // char x dict_offsets.back()
   kSecDictFreq = 14,         // u64 x num_dict_tokens
   kSecPlannerStats = 15,     // 65 x u64/f64 fields (520 bytes); flags bit 0
-  kSecSketchMeta = 16,       // SketchMetaV3 (88 bytes); flags bit 1
-  kSecSketchMinhash = 17,    // u64 x (num_users * num_hashes)
-  kSecSketchOccCells = 18,   // u32, CSR data
-  kSecSketchOccBegin = 19,   // u32 x (num_users + 1)
-  kSecSketchMasks = 20,      // u64 x num_users
-  kSecSketchUserKeys = 21,   // u64, CSR data
-  kSecSketchUserKeyBegin = 22,  // u32 x (num_users + 1)
-  kSecSketchPostKeys = 23,      // u64
-  kSecSketchPostBegin = 24,     // u32 x (post_keys + 1)
-  kSecSketchPostUsers = 25,     // u32 (UserId)
-  kSecSketchRowSalts = 26,      // u64 x num_hashes
+  // Reserved (legacy sketch layer, flags bit 1).
+  kSecLegacySketchMeta = 16,       // 88-byte parameter block
+  kSecLegacySketchMinhash = 17,    // u64
+  kSecLegacySketchOccCells = 18,   // u32
+  kSecLegacySketchOccBegin = 19,   // u32
+  kSecLegacySketchMasks = 20,      // u64
+  kSecLegacySketchUserKeys = 21,   // u64
+  kSecLegacySketchUserKeyBegin = 22,  // u32
+  kSecLegacySketchPostKeys = 23,      // u64
+  kSecLegacySketchPostBegin = 24,     // u32
+  kSecLegacySketchPostUsers = 25,     // u32
+  kSecLegacySketchRowSalts = 26,      // u64
   kSecMaxKind = 26,
 };
 
@@ -95,7 +102,7 @@ enum SectionKind : uint32_t {
 struct HeaderV3 {
   char magic[8];        // kMagicV3
   uint64_t file_size;   // exact file size in bytes, checksum included
-  uint64_t flags;       // bit 0: planner stats, bit 1: sketch layer
+  uint64_t flags;       // bit 0: planner stats, bit 1: legacy sketch
   uint64_t num_users;
   uint64_t num_objects;
   uint64_t num_dict_tokens;
@@ -108,7 +115,7 @@ struct HeaderV3 {
 static_assert(sizeof(HeaderV3) == 112);
 
 inline constexpr uint64_t kFlagPlannerStats = 1ull << 0;
-inline constexpr uint64_t kFlagSketches = 1ull << 1;
+inline constexpr uint64_t kFlagLegacySketch = 1ull << 1;  // reserved
 
 /// One section-table row.
 struct SectionEntry {
@@ -121,20 +128,8 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 40);
 
-/// Fixed-size scalar block of the sketch layer (kSecSketchMeta).
-struct SketchMetaV3 {
-  uint64_t num_hashes;
-  uint64_t num_bands;
-  uint64_t index_grid_bits;
-  uint64_t occupancy_grid_bits;
-  uint64_t seed;
-  uint64_t band_salt;
-  uint64_t num_users;
-  double min_x, min_y, width_x, width_y;
-};
-static_assert(sizeof(SketchMetaV3) == 88);
-
 inline constexpr size_t kPlannerStatsBlockSize = 65 * 8;  // 520 bytes
+inline constexpr size_t kLegacySketchMetaSize = 88;
 
 /// Bytes per element of a section's payload array. Blob/meta sections
 /// are byte arrays (element size 1 / the block itself).
@@ -145,11 +140,11 @@ inline size_t ElementSize(uint32_t kind) {
     case kSecTokenData:
     case kSecUsers:
     case kSecInsertionOrder:
-    case kSecSketchOccCells:
-    case kSecSketchOccBegin:
-    case kSecSketchUserKeyBegin:
-    case kSecSketchPostBegin:
-    case kSecSketchPostUsers:
+    case kSecLegacySketchOccCells:
+    case kSecLegacySketchOccBegin:
+    case kSecLegacySketchUserKeyBegin:
+    case kSecLegacySketchPostBegin:
+    case kSecLegacySketchPostUsers:
       return 4;
     case kSecXs:
     case kSecYs:
@@ -158,19 +153,19 @@ inline size_t ElementSize(uint32_t kind) {
     case kSecUserNameOffsets:
     case kSecDictOffsets:
     case kSecDictFreq:
-    case kSecSketchMinhash:
-    case kSecSketchMasks:
-    case kSecSketchUserKeys:
-    case kSecSketchPostKeys:
-    case kSecSketchRowSalts:
+    case kSecLegacySketchMinhash:
+    case kSecLegacySketchMasks:
+    case kSecLegacySketchUserKeys:
+    case kSecLegacySketchPostKeys:
+    case kSecLegacySketchRowSalts:
       return 8;
     case kSecUserNameBlob:
     case kSecDictBlob:
       return 1;
     case kSecPlannerStats:
       return kPlannerStatsBlockSize;
-    case kSecSketchMeta:
-      return sizeof(SketchMetaV3);
+    case kSecLegacySketchMeta:
+      return kLegacySketchMetaSize;
     default:
       return 0;  // unknown kind
   }

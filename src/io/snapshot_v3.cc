@@ -19,7 +19,6 @@
 #include "io/format_v3.h"
 #include "io/stats_codec.h"
 #include "planner/planner_stats.h"
-#include "sketch/sketch.h"
 
 namespace stps {
 
@@ -170,8 +169,10 @@ Status ParseArena(const char* data, size_t size, ParsedArena* out) {
     out->present[e.kind] = true;
   }
 
-  // Presence and fixed counts. Variable-count sections (blobs, sketch
-  // CSR data) are cross-checked against payload contents at Load time.
+  // Presence and fixed counts. Variable-count sections (blobs) are
+  // cross-checked against payload contents at Load time; the reserved
+  // legacy sketch sections must come all together, with flags bit 1, and
+  // are otherwise only range-checked above.
   const auto need = [&](uint32_t kind, uint64_t count) -> bool {
     return out->present[kind] && out->sec[kind].count == count;
   };
@@ -188,17 +189,18 @@ Status ParseArena(const char* data, size_t size, ParsedArena* out) {
       out->present[kSecDictBlob] && need(kSecDictFreq, h.num_dict_tokens);
   if (!core_ok) return Status::Corruption("missing or missized section");
   const bool want_stats = (h.flags & kFlagPlannerStats) != 0;
-  const bool want_sketch = (h.flags & kFlagSketches) != 0;
+  const bool legacy_sketch = (h.flags & kFlagLegacySketch) != 0;
   if (want_stats != need(kSecPlannerStats, 1)) {
     return Status::Corruption("planner-stats section disagrees with flags");
   }
-  for (uint32_t kind = kSecSketchMeta; kind <= kSecSketchRowSalts; ++kind) {
-    if (out->present[kind] != want_sketch) {
+  for (uint32_t kind = kSecLegacySketchMeta;
+       kind <= kSecLegacySketchRowSalts; ++kind) {
+    if (out->present[kind] != legacy_sketch) {
       return Status::Corruption("sketch sections disagree with flags");
     }
   }
   const uint64_t expected_sections = 14 + (want_stats ? 1 : 0) +
-                                     (want_sketch ? 11 : 0);
+                                     (legacy_sketch ? 11 : 0);
   if (h.section_count != expected_sections) {
     return Status::Corruption("unexpected section count");
   }
@@ -227,11 +229,6 @@ bool ValidOffsets(std::span<const uint64_t> offsets, uint64_t total) {
     if (offsets[i] < offsets[i - 1]) return false;
   }
   return offsets.back() == total;
-}
-
-template <typename T>
-bool SpanEq(std::span<const T> a, std::span<const T> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
 }  // namespace
@@ -281,24 +278,6 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
     STPS_CHECK(stats_block.bytes().size() == kPlannerStatsBlockSize);
   }
 
-  SketchMetaV3 meta = {};
-  SketchParts parts;
-  const bool have_sketch = db.has_sketches();
-  if (have_sketch) {
-    parts = db.sketches().parts();
-    meta.num_hashes = parts.params.num_hashes;
-    meta.num_bands = parts.params.num_bands;
-    meta.index_grid_bits = parts.params.index_grid_bits;
-    meta.occupancy_grid_bits = parts.params.occupancy_grid_bits;
-    meta.seed = parts.params.seed;
-    meta.band_salt = parts.band_salt;
-    meta.num_users = parts.num_users;
-    meta.min_x = parts.min_x;
-    meta.min_y = parts.min_y;
-    meta.width_x = parts.width_x;
-    meta.width_y = parts.width_y;
-  }
-
   struct Payload {
     uint32_t kind;
     const void* data;
@@ -326,22 +305,6 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
   if (db.has_planner_stats()) {
     add(kSecPlannerStats, stats_block.bytes().data(), 1);
   }
-  if (have_sketch) {
-    add(kSecSketchMeta, &meta, 1);
-    add(kSecSketchMinhash, parts.minhash.data(), parts.minhash.size());
-    add(kSecSketchOccCells, parts.occ_cells.data(), parts.occ_cells.size());
-    add(kSecSketchOccBegin, parts.occ_begin.data(), parts.occ_begin.size());
-    add(kSecSketchMasks, parts.masks.data(), parts.masks.size());
-    add(kSecSketchUserKeys, parts.user_keys.data(), parts.user_keys.size());
-    add(kSecSketchUserKeyBegin, parts.user_key_begin.data(),
-        parts.user_key_begin.size());
-    add(kSecSketchPostKeys, parts.post_keys.data(), parts.post_keys.size());
-    add(kSecSketchPostBegin, parts.post_begin.data(),
-        parts.post_begin.size());
-    add(kSecSketchPostUsers, parts.post_users.data(),
-        parts.post_users.size());
-    add(kSecSketchRowSalts, parts.row_salts.data(), parts.row_salts.size());
-  }
 
   // Precompute the layout, then stream it out in one pass.
   const uint64_t table_offset = sizeof(HeaderV3);
@@ -365,8 +328,7 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
   HeaderV3 header = {};
   std::memcpy(header.magic, kMagicV3, sizeof(kMagicV3));
   header.file_size = file_size;
-  header.flags = (db.has_planner_stats() ? kFlagPlannerStats : 0) |
-                 (have_sketch ? kFlagSketches : 0);
+  header.flags = db.has_planner_stats() ? kFlagPlannerStats : 0;
   header.num_users = nu;
   header.num_objects = n;
   header.num_dict_tokens = nd;
@@ -529,76 +491,6 @@ Result<ObjectDatabase> SnapshotLoader::Load(std::shared_ptr<const void> owner,
     db.planner_stats_ = std::make_shared<const PlannerStats>(stats);
   }
 
-  SketchParams sketch_params;
-  if ((h.flags & kFlagSketches) != 0) {
-    SketchMetaV3 meta;
-    std::memcpy(&meta, data + a.sec[kSecSketchMeta].offset, sizeof(meta));
-    // The borrowed UserSketchIndex ctor skips the building ctor's CHECKs,
-    // so enforce the same parameter envelope (plus count consistency)
-    // here as Corruption instead of aborting later.
-    if (meta.num_users != h.num_users || meta.num_hashes == 0 ||
-        !FitsU32(meta.num_hashes) || meta.num_bands == 0 ||
-        !FitsU32(meta.num_bands) || meta.index_grid_bits < 1 ||
-        meta.index_grid_bits > 15 || meta.occupancy_grid_bits < 3 ||
-        meta.occupancy_grid_bits > 15) {
-      return Status::Corruption("bad sketch parameters");
-    }
-    const auto minhash = SecSpan<uint64_t>(data, a.sec[kSecSketchMinhash]);
-    const auto occ_cells =
-        SecSpan<uint32_t>(data, a.sec[kSecSketchOccCells]);
-    const auto occ_begin =
-        SecSpan<uint32_t>(data, a.sec[kSecSketchOccBegin]);
-    const auto masks = SecSpan<uint64_t>(data, a.sec[kSecSketchMasks]);
-    const auto user_keys =
-        SecSpan<uint64_t>(data, a.sec[kSecSketchUserKeys]);
-    const auto user_key_begin =
-        SecSpan<uint32_t>(data, a.sec[kSecSketchUserKeyBegin]);
-    const auto post_keys =
-        SecSpan<uint64_t>(data, a.sec[kSecSketchPostKeys]);
-    const auto post_begin =
-        SecSpan<uint32_t>(data, a.sec[kSecSketchPostBegin]);
-    const auto post_users = SecSpan<UserId>(data, a.sec[kSecSketchPostUsers]);
-    const auto row_salts =
-        SecSpan<uint64_t>(data, a.sec[kSecSketchRowSalts]);
-    if (minhash.size() != nu * meta.num_hashes ||
-        row_salts.size() != meta.num_hashes || masks.size() != nu ||
-        occ_begin.size() != nu + 1 || user_key_begin.size() != nu + 1 ||
-        post_begin.size() != post_keys.size() + 1) {
-      return Status::Corruption("missized sketch section");
-    }
-    if (!ValidBegins(occ_begin, occ_cells.size()) ||
-        !ValidBegins(user_key_begin, user_keys.size()) ||
-        !ValidBegins(post_begin, post_users.size())) {
-      return Status::Corruption("bad sketch CSR layout");
-    }
-    SketchParts parts;
-    parts.params.num_hashes = static_cast<uint32_t>(meta.num_hashes);
-    parts.params.num_bands = static_cast<uint32_t>(meta.num_bands);
-    parts.params.index_grid_bits =
-        static_cast<uint32_t>(meta.index_grid_bits);
-    parts.params.occupancy_grid_bits =
-        static_cast<uint32_t>(meta.occupancy_grid_bits);
-    parts.params.seed = meta.seed;
-    parts.num_users = meta.num_users;
-    parts.band_salt = meta.band_salt;
-    parts.min_x = meta.min_x;
-    parts.min_y = meta.min_y;
-    parts.width_x = meta.width_x;
-    parts.width_y = meta.width_y;
-    parts.minhash = minhash;
-    parts.occ_cells = occ_cells;
-    parts.occ_begin = occ_begin;
-    parts.masks = masks;
-    parts.user_keys = user_keys;
-    parts.user_key_begin = user_key_begin;
-    parts.post_keys = post_keys;
-    parts.post_begin = post_begin;
-    parts.post_users = post_users;
-    parts.row_salts = row_salts;
-    sketch_params = parts.params;
-    db.sketches_ = std::make_shared<const UserSketchIndex>(parts);
-  }
-
   if (verify) {
     // Structural cross-checks: rebuild what the writer derived and
     // compare. Agreement proves the payload decodes to the database the
@@ -607,29 +499,6 @@ Result<ObjectDatabase> SnapshotLoader::Load(std::shared_ptr<const void> owner,
         !(ComputePlannerStats(db) == db.planner_stats())) {
       return Status::Corruption(
           "planner stats disagree with loaded database");
-    }
-    if (db.has_sketches()) {
-      const UserSketchIndex rebuilt(db, sketch_params);
-      const SketchParts got = db.sketches().parts();
-      const SketchParts want = rebuilt.parts();
-      const bool same =
-          got.num_users == want.num_users &&
-          got.band_salt == want.band_salt && got.min_x == want.min_x &&
-          got.min_y == want.min_y && got.width_x == want.width_x &&
-          got.width_y == want.width_y && SpanEq(got.minhash, want.minhash) &&
-          SpanEq(got.occ_cells, want.occ_cells) &&
-          SpanEq(got.occ_begin, want.occ_begin) &&
-          SpanEq(got.masks, want.masks) &&
-          SpanEq(got.user_keys, want.user_keys) &&
-          SpanEq(got.user_key_begin, want.user_key_begin) &&
-          SpanEq(got.post_keys, want.post_keys) &&
-          SpanEq(got.post_begin, want.post_begin) &&
-          SpanEq(got.post_users, want.post_users) &&
-          SpanEq(got.row_salts, want.row_salts);
-      if (!same) {
-        return Status::Corruption(
-            "sketch layer disagrees with loaded database");
-      }
     }
     // Dictionary invariants the id order depends on: ascending document
     // frequency, ties strictly lexicographic (also rules out duplicate

@@ -156,56 +156,48 @@ double EstimateShapeCost(const PlannerStats& stats, const PlanShape& shape,
   const JoinAlgorithm algorithm =
       shape.topk ? JoinAlgorithm::kSPPJF : shape.join;
 
-  if (shape.sketch) {
-    // Band-index probe per user plus a full PPJ-B point-set verification
-    // per surfaced candidate; the band index surfaces a superset of the
-    // textual survivors (shared token => shared band, plus collisions).
-    build = users * 64.0;
-    refine = 1.3 * correction * est.text_survivors * brute_per_pair;
-  } else {
-    switch (algorithm) {
-      case JoinAlgorithm::kBruteForce:
-        refine = max_user_pairs * brute_per_pair;
-        break;
-      case JoinAlgorithm::kSPPJC:
-        // No filter at all: the cell merge runs for every user pair (an
-        // exact count, so no learned correction), walking the union of
-        // both users' cells and touching every co-located object pair.
-        build = 2.0 * n;
-        refine = max_user_pairs * per_pair +
-                 2.0 * est.colocated_object_pairs +
-                 kWalkUnitsPerCell * est.walk_cells;
-        break;
-      case JoinAlgorithm::kSPPJB:
-        // S-PPJ-C's pairs with the odd/even row partitioning halving the
-        // duplicate neighbour visits and Lemma 1 cutting the walk short.
-        build = 2.0 * n;
-        refine = 0.9 * (max_user_pairs * per_pair +
-                        2.0 * est.colocated_object_pairs) +
-                 kWalkUnitsPerCell * est.bounded_walk_cells;
-        break;
-      case JoinAlgorithm::kSPPJF:
-        // Incremental inverted index: pay per stored (object, token) to
-        // build and probe, refine only the textual survivors, plus
-        // per-candidate bookkeeping for the count bound.
-        build = 2.0 * n * (t + 2.0);
-        refine = correction * (est.text_survivors * per_pair +
-                               4.0 * est.candidate_pairs) +
-                 est.cells_visited * (t + 1.0);
-        break;
-      case JoinAlgorithm::kSPPJD:
-        // S-PPJ-F's funnel over R-tree leaves: tree build on top, mildly
-        // worse partition locality.
-        build = 2.0 * n * (t + 2.0) +
-                n * std::log2(std::max(2.0, n));
-        refine = 1.15 * (correction * (est.text_survivors * per_pair +
-                                       4.0 * est.candidate_pairs) +
-                         est.cells_visited * (t + 1.0));
-        break;
-      default:
-        refine = max_user_pairs * brute_per_pair;
-        break;
-    }
+  switch (algorithm) {
+    case JoinAlgorithm::kBruteForce:
+      refine = max_user_pairs * brute_per_pair;
+      break;
+    case JoinAlgorithm::kSPPJC:
+      // No filter at all: the cell merge runs for every user pair (an
+      // exact count, so no learned correction), walking the union of
+      // both users' cells and touching every co-located object pair.
+      build = 2.0 * n;
+      refine = max_user_pairs * per_pair +
+               2.0 * est.colocated_object_pairs +
+               kWalkUnitsPerCell * est.walk_cells;
+      break;
+    case JoinAlgorithm::kSPPJB:
+      // S-PPJ-C's pairs with the odd/even row partitioning halving the
+      // duplicate neighbour visits and Lemma 1 cutting the walk short.
+      build = 2.0 * n;
+      refine = 0.9 * (max_user_pairs * per_pair +
+                      2.0 * est.colocated_object_pairs) +
+               kWalkUnitsPerCell * est.bounded_walk_cells;
+      break;
+    case JoinAlgorithm::kSPPJF:
+      // Incremental inverted index: pay per stored (object, token) to
+      // build and probe, refine only the textual survivors, plus
+      // per-candidate bookkeeping for the count bound.
+      build = 2.0 * n * (t + 2.0);
+      refine = correction * (est.text_survivors * per_pair +
+                             4.0 * est.candidate_pairs) +
+               est.cells_visited * (t + 1.0);
+      break;
+    case JoinAlgorithm::kSPPJD:
+      // S-PPJ-F's funnel over R-tree leaves: tree build on top, mildly
+      // worse partition locality.
+      build = 2.0 * n * (t + 2.0) +
+              n * std::log2(std::max(2.0, n));
+      refine = 1.15 * (correction * (est.text_survivors * per_pair +
+                                     4.0 * est.candidate_pairs) +
+                       est.cells_visited * (t + 1.0));
+      break;
+    default:
+      refine = max_user_pairs * brute_per_pair;
+      break;
   }
 
   if (shape.topk) {
@@ -230,7 +222,6 @@ double EstimateShapeCost(const PlannerStats& stats, const PlanShape& shape,
 }
 
 bool UsesCandidateCorrection(const PlanShape& shape) {
-  if (shape.sketch) return true;
   if (shape.topk) return shape.topk_algorithm != TopKAlgorithm::kBruteForce;
   return shape.join != JoinAlgorithm::kSPPJB &&
          shape.join != JoinAlgorithm::kSPPJC &&
@@ -238,11 +229,8 @@ bool UsesCandidateCorrection(const PlanShape& shape) {
 }
 
 std::string PlanShapeName(const PlanShape& shape) {
-  std::string name;
-  if (shape.sketch) name += "sketch+";
-  name += shape.topk ? TopKAlgorithmName(shape.topk_algorithm)
-                     : JoinAlgorithmName(shape.join);
-  return name;
+  return std::string(shape.topk ? TopKAlgorithmName(shape.topk_algorithm)
+                                 : JoinAlgorithmName(shape.join));
 }
 
 }  // namespace stps

@@ -17,13 +17,12 @@
 //    nonincreasing in eps_doc and eps_u.
 //
 //  * `EstimateShapeCost` converts stage counts into abstract work units
-//    for one physical plan shape (algorithm x sketch x threads),
-//    charging each shape only for the stages it executes: S-PPJ-B/C run
-//    the cell merge for every one of the U(U-1)/2 user pairs (an exact
-//    count) and pay the all-pairs cell walk, S-PPJ-F/D pay the index
-//    build plus textual survivors only, the sketch path pays band probes
-//    plus full-point-set verifications, parallel shapes amortise refine
-//    work across threads behind a fixed pool-spin-up charge. Units are
+//    for one physical plan shape (algorithm x threads), charging each
+//    shape only for the stages it executes: S-PPJ-B/C run the cell merge
+//    for every one of the U(U-1)/2 user pairs (an exact count) and pay
+//    the all-pairs cell walk, S-PPJ-F/D pay the index build plus textual
+//    survivors only, parallel shapes amortise refine work across threads
+//    behind a fixed pool-spin-up charge. Units are
 //    "elementary kernel operations"; PlannerFeedback's EWMA of measured
 //    ms-per-unit per shape turns them into milliseconds.
 
@@ -40,24 +39,21 @@ namespace stps {
 
 /// One physical plan shape — the unit the cost model prices and the
 /// feedback map is keyed by. `join` is meaningful when !topk,
-/// `topk_algorithm` when topk; the sketch flag overrides the algorithm's
-/// filter stage exactly as RunSTPSJoin's routing does.
+/// `topk_algorithm` when topk.
 struct PlanShape {
   bool topk = false;
   JoinAlgorithm join = JoinAlgorithm::kSPPJF;
   TopKAlgorithm topk_algorithm = TopKAlgorithm::kP;
-  bool sketch = false;
   int threads = 1;
 
   friend bool operator==(const PlanShape& a, const PlanShape& b) {
     return a.topk == b.topk && a.join == b.join &&
-           a.topk_algorithm == b.topk_algorithm && a.sketch == b.sketch &&
-           a.threads == b.threads;
+           a.topk_algorithm == b.topk_algorithm && a.threads == b.threads;
   }
 };
 
-/// Display name of a shape's algorithm ("S-PPJ-F", "TOPK-S-PPJ-P",
-/// "sketch+S-PPJ-F", ...), for Explain output and bench tables.
+/// Display name of a shape's algorithm ("S-PPJ-F", "TOPK-S-PPJ-P", ...),
+/// for Explain output and bench tables.
 std::string PlanShapeName(const PlanShape& shape);
 
 /// Estimated per-stage candidate counts for a query, plus the derived

@@ -39,7 +39,6 @@ PlannerFeedback::ShapeKey PlannerFeedback::KeyOf(const PlanShape& shape) {
   key.bits = static_cast<uint32_t>(shape.topk ? 1 : 0) |
              (static_cast<uint32_t>(shape.join) << 1) |
              (static_cast<uint32_t>(shape.topk_algorithm) << 4) |
-             (static_cast<uint32_t>(shape.sketch ? 1 : 0) << 7) |
              (static_cast<uint32_t>(std::clamp(shape.threads, 0, 0xFFFF))
               << 8);
   return key;
@@ -87,9 +86,8 @@ void PlannerFeedback::Record(const PlanShape& shape,
                             estimate.candidate_pairs >= 1.0;
   double raw_ratio = 1.0;
   if (has_estimate) {
-    const double actual_candidates = std::max(
-        1.0, static_cast<double>(std::max(stats.pairs_candidate,
-                                          stats.sketch_candidate_pairs)));
+    const double actual_candidates =
+        std::max(1.0, static_cast<double>(stats.pairs_candidate));
     raw_ratio = actual_candidates / estimate.candidate_pairs;
   }
   const double ratio = std::clamp(raw_ratio, kMinRatio, kMaxRatio);
@@ -141,10 +139,10 @@ FeedbackSnapshot PlannerFeedback::Snapshot() const {
                const FeedbackSnapshot::Shape& y) {
               const PlanShape& a = x.shape;
               const PlanShape& b = y.shape;
-              return std::tie(a.topk, a.join, a.topk_algorithm, a.sketch,
+              return std::tie(a.topk, a.join, a.topk_algorithm,
                               a.threads) < std::tie(b.topk, b.join,
                                                     b.topk_algorithm,
-                                                    b.sketch, b.threads);
+                                                    b.threads);
             });
   return snapshot;
 }

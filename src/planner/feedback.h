@@ -51,8 +51,8 @@ struct FeedbackSnapshot {
     uint64_t runs = 0;
     double ms_per_unit = 0.0;
   };
-  /// Observed shapes, joins before top-k, then by algorithm, sketch and
-  /// thread count.
+  /// Observed shapes, joins before top-k, then by algorithm and thread
+  /// count.
   std::vector<Shape> shapes;
   Kind join;
   Kind topk;

@@ -80,16 +80,11 @@ PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
   // Feasible shapes, in deterministic preference order (ties in predicted
   // cost resolve to the earlier entry). Preconditions mirror the
   // per-algorithm contracts in core/stpsjoin.h: the grid algorithms need
-  // a positive spatial threshold, the filter-at-a-time pair (F, D) and
-  // the sketch path additionally need real textual and similarity
-  // thresholds.
+  // a positive spatial threshold, the filter-at-a-time pair (F, D)
+  // additionally needs real textual and similarity thresholds.
   const bool grid_ok = query.eps_loc > 0.0;
   const bool filter_ok =
       grid_ok && query.eps_doc > 0.0 && query.eps_u > 0.0;
-  // Sketch verification re-walks the eps_loc user grid, so it shares the
-  // grid precondition on top of the textual ones.
-  const bool sketch_ok = grid_ok && db.has_sketches() &&
-                         query.eps_doc > 0.0 && query.eps_u > 0.0;
   std::vector<PlanShape> shapes;
   const int thread_options[2] = {1, budget};
   const int num_thread_options = budget > 1 ? 2 : 1;
@@ -103,12 +98,6 @@ PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
       shapes.push_back(s);
       s.join = JoinAlgorithm::kSPPJD;
       shapes.push_back(s);
-    }
-    if (sketch_ok) {
-      s.join = JoinAlgorithm::kSPPJF;
-      s.sketch = true;
-      shapes.push_back(s);
-      s.sketch = false;
     }
     if (grid_ok) {
       s.join = JoinAlgorithm::kSPPJB;
@@ -152,12 +141,8 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
   const int budget = std::max(1, query.parallel.num_threads);
 
   // The index-based variants require eps_doc > 0 (core/topk.h) and build
-  // the eps_loc user grid, so both thresholds must be real; the sketch
-  // path shares those preconditions (a band collision implies a shared
-  // token only when textual overlap is required for a match at all, and
-  // its verification re-walks the same grid).
+  // the eps_loc user grid, so both thresholds must be real.
   const bool index_ok = query.eps_doc > 0.0 && query.eps_loc > 0.0;
-  const bool sketch_ok = index_ok && db.has_sketches();
   std::vector<PlanShape> shapes;
   const int thread_options[2] = {1, budget};
   const int num_thread_options = budget > 1 ? 2 : 1;
@@ -173,12 +158,6 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
       shapes.push_back(s);
       s.topk_algorithm = TopKAlgorithm::kS;
       shapes.push_back(s);
-    }
-    if (sketch_ok) {
-      s.topk_algorithm = TopKAlgorithm::kP;
-      s.sketch = true;
-      shapes.push_back(s);
-      s.sketch = false;
     }
     if (threads == 1) {
       s.topk_algorithm = TopKAlgorithm::kBruteForce;
@@ -226,19 +205,10 @@ PhysicalPlan PinPlanShape(const ObjectDatabase& db, PhysicalPlan plan,
   return plan;
 }
 
-PlanShape ExplicitJoinShape(const STPSQuery& query,
-                            const JoinOptions& options) {
+PlanShape ExplicitJoinShape(const JoinOptions& options) {
   PlanShape shape;
   shape.topk = false;
   shape.join = options.algorithm;
-  // Sketch-generated candidates replace the per-algorithm filter stage
-  // for every non-brute algorithm (verification is the shared PPJ-B
-  // kernel, so results stay bit-identical). The band index is only a
-  // sound filter when a match implies a common token, i.e. eps_doc > 0
-  // with a real threshold eps_u > 0.
-  shape.sketch = query.sketch.enabled &&
-                 options.algorithm != JoinAlgorithm::kBruteForce &&
-                 query.eps_doc > 0.0 && query.eps_u > 0.0;
   shape.threads = std::max(1, options.threads);
   return shape;
 }
@@ -247,11 +217,6 @@ PlanShape ExplicitTopKShape(const TopKQuery& query, TopKAlgorithm algorithm) {
   PlanShape shape;
   shape.topk = true;
   shape.topk_algorithm = algorithm;
-  // Sketch candidates with the heavy-hitters verification order stand in
-  // for every index-based variant (kF/kS/kP differ only in traversal
-  // order, which sketches supersede; brute force stays brute force).
-  shape.sketch =
-      query.sketch.enabled && algorithm != TopKAlgorithm::kBruteForce;
   shape.threads = std::max(1, query.parallel.num_threads);
   return shape;
 }
@@ -309,7 +274,7 @@ std::string ExplainPlan(const PhysicalPlan& plan, const JoinStats* actual) {
     out += "estimated vs actual:\n";
     row("cells_visited", plan.estimate.cells_visited, actual->cells_visited);
     row("candidate_pairs", plan.estimate.candidate_pairs,
-        std::max(actual->pairs_candidate, actual->sketch_candidate_pairs));
+        actual->pairs_candidate);
     row("verified_pairs", plan.estimate.verified_pairs,
         actual->pairs_verified);
     std::snprintf(buf, sizeof(buf), "  %-18s actual %14" PRIu64 "\n",

@@ -1,9 +1,8 @@
 // Cost-model-driven physical planning for RunSTPSJoin / RunTopKSTPSJoin.
 //
 // `PlanSTPSJoin` enumerates the feasible plan shapes for a query — every
-// algorithm whose preconditions hold, sketch candidate generation on and
-// off, sequential and pooled execution within the caller's thread budget
-// — prices each one through the cost model (planner/cost_model.h) scaled
+// algorithm whose preconditions hold, sequential and pooled execution
+// within the caller's thread budget — prices each one through the cost model (planner/cost_model.h) scaled
 // by the online feedback's learned coefficients (planner/feedback.h), and
 // returns the cheapest. Every shape computes the exact same result set
 // (the library's algorithms are all exact), so the planner can only ever
@@ -60,9 +59,6 @@ struct PhysicalPlan {
 /// sequential execution when the pool spin-up costs more than it saves —
 /// and `options.rtree_fanout` passes through. `options.algorithm` is
 /// ignored (the planner chooses).
-/// Sketch candidate generation is considered whenever it is sound for
-/// the query, even when query.sketch.enabled is false: enabling it never
-/// changes results, only work.
 PhysicalPlan PlanSTPSJoin(const ObjectDatabase& db, const STPSQuery& query,
                           const JoinOptions& options = {});
 
@@ -71,11 +67,9 @@ PhysicalPlan PlanTopKSTPSJoin(const ObjectDatabase& db,
                               const TopKQuery& query);
 
 /// The shape RunSTPSJoin runs (and records feedback under) for an
-/// explicit, non-kAuto `options.algorithm`: `options.threads` workers,
-/// and sketch candidates when query.sketch.enabled and the query
-/// has real textual thresholds.
-PlanShape ExplicitJoinShape(const STPSQuery& query,
-                            const JoinOptions& options);
+/// explicit, non-kAuto `options.algorithm`: that algorithm on
+/// `options.threads` workers.
+PlanShape ExplicitJoinShape(const JoinOptions& options);
 
 /// Same for RunTopKSTPSJoin with an explicit, non-kAuto `algorithm`.
 PlanShape ExplicitTopKShape(const TopKQuery& query, TopKAlgorithm algorithm);

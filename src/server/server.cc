@@ -504,14 +504,11 @@ bool QueryServer::HandleRequest(const std::string& line, std::string* out) {
     }
 
     // JOIN / TOPK share the option-token tail.
-    bool sketch = false;
     int threads = 1;
     std::string_view algorithm_name;
     bool options_ok = true;
     for (size_t i = 4; i < fields.size(); ++i) {
-      if (fields[i] == "SKETCH") {
-        sketch = true;
-      } else if (fields[i] == "THREADS" && i + 1 < fields.size()) {
+      if (fields[i] == "THREADS" && i + 1 < fields.size()) {
         if (!ParseInt(fields[++i], 1, options_.max_query_threads, &threads)) {
           options_ok = false;
         }
@@ -534,7 +531,7 @@ bool QueryServer::HandleRequest(const std::string& line, std::string* out) {
            !ParseJoinAlgorithm(algorithm_name, &join_options.algorithm))) {
         out->append(
             "ERR usage: JOIN <eps_loc> <eps_doc> <eps_u> [ALGO <name>] "
-            "[THREADS <n>] [SKETCH]\n");
+            "[THREADS <n>]\n");
         return true;
       }
       if (query.eps_loc < 0 || query.eps_doc < 0 || query.eps_doc > 1 ||
@@ -542,7 +539,6 @@ bool QueryServer::HandleRequest(const std::string& line, std::string* out) {
         out->append("ERR thresholds out of range\n");
         return true;
       }
-      query.sketch.enabled = sketch;
       join_options.threads = threads;
       const Status valid = ValidateJoinQuery(query, join_options);
       if (!valid.ok()) {
@@ -564,14 +560,13 @@ bool QueryServer::HandleRequest(const std::string& line, std::string* out) {
          !ParseTopKAlgorithm(algorithm_name, &algorithm))) {
       out->append(
           "ERR usage: TOPK <eps_loc> <eps_doc> <k> [ALGO <name>] "
-          "[THREADS <n>] [SKETCH]\n");
+          "[THREADS <n>]\n");
       return true;
     }
     if (query.eps_loc < 0 || query.eps_doc < 0 || query.eps_doc > 1) {
       out->append("ERR thresholds out of range\n");
       return true;
     }
-    query.sketch.enabled = sketch;
     query.parallel.num_threads = threads;
     const Status valid = ValidateTopKQuery(query, algorithm);
     if (!valid.ok()) {

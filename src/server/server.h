@@ -15,10 +15,10 @@
 //   PING
 //     -> OK pong
 //   JOIN <eps_loc> <eps_doc> <eps_u> [ALGO <auto|sppjc|sppjb|sppjf|
-//        sppjd|brute>] [THREADS <n>] [SKETCH]
+//        sppjd|brute>] [THREADS <n>]
 //     -> OK <n_pairs> <epoch>, then n_pairs lines "<userA> <userB> <sigma>"
 //   TOPK <eps_loc> <eps_doc> <k> [ALGO <auto|f|s|p|brute>]
-//        [THREADS <n>] [SKETCH]
+//        [THREADS <n>]
 //     -> same row format
 //   (JOIN / TOPK answer "ERR <reason>" when the thresholds fail the
 //   chosen algorithm's preconditions: ValidateJoinQuery /

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string_view>
 
 #include "common/macros.h"
 #include "core/database.h"
@@ -99,9 +100,22 @@ void CheckParams(const SketchParams& params) {
              params.occupancy_grid_bits <= 15);
 }
 
-// Epoch-stable per-token hash values, indexed by token id (see
-// StableTokenHash in sketch.h). Both hash families key off these, so a
-// user's rows survive the dictionary's per-publish id reassignment.
+// 64-bit hash of a token: FNV-1a over the token *string*, finished by
+// the sketch layer's shared mixer. Every hash family in the sketch layer
+// (MinHash rows, LSH bands) keys off this value rather than the token
+// id, so a user's sketch rows are a pure function of its token *set*,
+// independent of the dictionary's frequency-ordered id assignment.
+uint64_t StableTokenHash(std::string_view token) {
+  uint64_t h = 0xCBF29CE484222325ull;  // FNV offset basis
+  for (const char c : token) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ull;  // FNV prime
+  }
+  return SketchMix64(h);
+}
+
+// Per-token hash values, indexed by token id. Both hash families key off
+// these.
 std::vector<uint64_t> ComputeStableHashes(const Dictionary& dict) {
   std::vector<uint64_t> stable(dict.size());
   for (TokenId t = 0; t < stable.size(); ++t) {
@@ -110,7 +124,7 @@ std::vector<uint64_t> ComputeStableHashes(const Dictionary& dict) {
   return stable;
 }
 
-// The per-user arrays both constructors build (postings are derived from
+// The per-user arrays the constructor builds (postings are derived from
 // them afterwards). minhash/masks/begins are pre-sized by the caller;
 // occ_cells/user_keys grow as users are appended in id order.
 struct SketchArrays {
@@ -129,8 +143,7 @@ struct UserScratch {
 };
 
 // Computes user u's rows from the database and appends them to `out`.
-// Pure function of (u's point set, params, salts, grid frames) — the
-// delta constructor relies on that to splice unchanged users instead.
+// Pure function of (u's point set, params, salts, grid frames).
 void AppendUserRows(const ObjectDatabase& db, UserId u,
                     std::span<const uint64_t> stable,
                     const SketchParams& params, uint64_t band_salt,
@@ -263,7 +276,7 @@ UserSketchIndex::UserSketchIndex(const ObjectDatabase& db,
   CheckParams(params_);
 
   SketchSaltStream salts(params_.seed);
-  band_salt_ = salts.Next();
+  const uint64_t band_salt = salts.Next();
   std::vector<uint64_t> row_salts;
   row_salts.reserve(params_.num_hashes);
   for (uint32_t i = 0; i < params_.num_hashes; ++i) {
@@ -289,15 +302,11 @@ UserSketchIndex::UserSketchIndex(const ObjectDatabase& db,
 
   UserScratch scratch;
   for (UserId u = 0; u < num_users_; ++u) {
-    AppendUserRows(db, u, stable, params_, band_salt_, row_salts, min_x_,
+    AppendUserRows(db, u, stable, params_, band_salt, row_salts, min_x_,
                    min_y_, width_x_, width_y_, &arrays, &scratch);
   }
-
-  std::vector<uint64_t> post_keys;
-  std::vector<uint32_t> post_begin;
-  std::vector<UserId> post_users;
   BuildPostings(arrays.user_keys, arrays.user_key_begin, num_users_,
-                KeySpace(params_), &post_keys, &post_begin, &post_users);
+                KeySpace(params_), &post_keys_, &post_begin_, &post_users_);
 
   minhash_ = std::move(arrays.minhash);
   occ_cells_ = std::move(arrays.occ_cells);
@@ -305,181 +314,6 @@ UserSketchIndex::UserSketchIndex(const ObjectDatabase& db,
   masks_ = std::move(arrays.masks);
   user_keys_ = std::move(arrays.user_keys);
   user_key_begin_ = std::move(arrays.user_key_begin);
-  post_keys_ = std::move(post_keys);
-  post_begin_ = std::move(post_begin);
-  post_users_ = std::move(post_users);
-  row_salts_ = std::move(row_salts);
-}
-
-UserSketchIndex::UserSketchIndex(const ObjectDatabase& db,
-                                 const UserSketchIndex& prev,
-                                 std::span<const uint32_t> prev_user_of_new,
-                                 const SketchParams& params,
-                                 std::span<const uint64_t> stable_hashes)
-    : params_(params), num_users_(db.num_users()) {
-  CheckParams(params_);
-  STPS_CHECK(params_ == prev.params_);
-  STPS_CHECK(prev_user_of_new.size() == num_users_);
-
-  // Same salt derivation as the fresh constructor (pure function of the
-  // seed), so computed and spliced rows agree on the hash families.
-  SketchSaltStream salts(params_.seed);
-  band_salt_ = salts.Next();
-  std::vector<uint64_t> row_salts;
-  row_salts.reserve(params_.num_hashes);
-  for (uint32_t i = 0; i < params_.num_hashes; ++i) {
-    row_salts.push_back(salts.Next());
-  }
-
-  const Rect& bounds = db.bounds();
-  if (!bounds.IsEmpty()) {
-    min_x_ = bounds.min_x;
-    min_y_ = bounds.min_y;
-    width_x_ = bounds.max_x - bounds.min_x;
-    width_y_ = bounds.max_y - bounds.min_y;
-  }
-  // Splicing is only sound when both grids are framed identically — the
-  // delta publish path falls back to a full rebuild on any bounds change.
-  STPS_CHECK(min_x_ == prev.min_x_ && min_y_ == prev.min_y_ &&
-             width_x_ == prev.width_x_ && width_y_ == prev.width_y_);
-
-  std::vector<uint64_t> computed_stable;
-  if (stable_hashes.empty() && db.dictionary().size() > 0) {
-    computed_stable = ComputeStableHashes(db.dictionary());
-    stable_hashes = computed_stable;
-  }
-  STPS_CHECK(stable_hashes.size() == db.dictionary().size());
-  const std::span<const uint64_t> stable = stable_hashes;
-
-  SketchArrays arrays;
-  // Unlike the fresh constructor, minhash grows in append order (run
-  // block copies and per-dirty-user sentinel rows) instead of being
-  // pre-filled: splices overwrite ~every row, so the up-front
-  // num_users * num_hashes sentinel fill would be pure wasted bandwidth.
-  arrays.minhash.reserve(num_users_ * params_.num_hashes);
-  arrays.masks.assign(num_users_, 0);
-  arrays.occ_begin.assign(num_users_ + 1, 0);
-  arrays.user_key_begin.assign(num_users_ + 1, 0);
-  // Splices dominate (that is the point of the delta path): size the
-  // growing arrays to the previous epoch up front so the per-user
-  // insert loop never reallocates mid-splice.
-  arrays.occ_cells.reserve(prev.occ_cells_.size());
-  arrays.user_keys.reserve(prev.user_keys_.size());
-
-  // Spliced users come in long runs of consecutive prev ids (the delta
-  // publish keeps retained users in prev-id order, and dirty users are
-  // sparse), so each run's CSR payloads move as one block copy with the
-  // begins recovered by offset arithmetic — not one insert per user.
-  UserScratch scratch;
-  UserId u = 0;
-  while (u < num_users_) {
-    const uint32_t pu = prev_user_of_new[u];
-    if (pu == UINT32_MAX) {
-      // AppendUserRows min-folds into pre-set sentinel rows.
-      arrays.minhash.insert(arrays.minhash.end(), params_.num_hashes,
-                            std::numeric_limits<uint64_t>::max());
-      AppendUserRows(db, u, stable, params_, band_salt_, row_salts, min_x_,
-                     min_y_, width_x_, width_y_, &arrays, &scratch);
-      ++u;
-      continue;
-    }
-    STPS_CHECK(pu < prev.num_users_);
-    UserId run_end = u + 1;
-    while (run_end < num_users_ &&
-           prev_user_of_new[run_end] == pu + (run_end - u)) {
-      ++run_end;
-    }
-    const uint32_t pu_end = pu + (run_end - u);
-    STPS_CHECK(pu_end <= prev.num_users_);
-
-    const uint32_t cell_lo = prev.occ_begin_[pu];
-    const uint32_t cell_hi = prev.occ_begin_[pu_end];
-    const uint32_t cell_base = static_cast<uint32_t>(arrays.occ_cells.size());
-    arrays.occ_cells.insert(arrays.occ_cells.end(),
-                            prev.occ_cells_.begin() + cell_lo,
-                            prev.occ_cells_.begin() + cell_hi);
-    const uint32_t key_lo = prev.user_key_begin_[pu];
-    const uint32_t key_hi = prev.user_key_begin_[pu_end];
-    const uint32_t key_base = static_cast<uint32_t>(arrays.user_keys.size());
-    arrays.user_keys.insert(arrays.user_keys.end(),
-                            prev.user_keys_.begin() + key_lo,
-                            prev.user_keys_.begin() + key_hi);
-    for (UserId w = u; w < run_end; ++w) {
-      const uint32_t pw = pu + (w - u);
-      arrays.occ_begin[w + 1] =
-          cell_base + (prev.occ_begin_[pw + 1] - cell_lo);
-      arrays.user_key_begin[w + 1] =
-          key_base + (prev.user_key_begin_[pw + 1] - key_lo);
-    }
-    arrays.minhash.insert(arrays.minhash.end(),
-                          prev.minhash_.begin() +
-                              static_cast<size_t>(pu) * params_.num_hashes,
-                          prev.minhash_.begin() +
-                              static_cast<size_t>(pu_end) * params_.num_hashes);
-    std::copy(prev.masks_.begin() + pu, prev.masks_.begin() + pu_end,
-              arrays.masks.begin() + u);
-    u = run_end;
-  }
-  STPS_CHECK(arrays.minhash.size() ==
-             static_cast<size_t>(num_users_) * params_.num_hashes);
-
-  std::vector<uint64_t> post_keys;
-  std::vector<uint32_t> post_begin;
-  std::vector<UserId> post_users;
-  BuildPostings(arrays.user_keys, arrays.user_key_begin, num_users_,
-                KeySpace(params_), &post_keys, &post_begin, &post_users);
-
-  minhash_ = std::move(arrays.minhash);
-  occ_cells_ = std::move(arrays.occ_cells);
-  occ_begin_ = std::move(arrays.occ_begin);
-  masks_ = std::move(arrays.masks);
-  user_keys_ = std::move(arrays.user_keys);
-  user_key_begin_ = std::move(arrays.user_key_begin);
-  post_keys_ = std::move(post_keys);
-  post_begin_ = std::move(post_begin);
-  post_users_ = std::move(post_users);
-  row_salts_ = std::move(row_salts);
-}
-
-UserSketchIndex::UserSketchIndex(const SketchParts& parts)
-    : params_(parts.params),
-      num_users_(parts.num_users),
-      min_x_(parts.min_x),
-      min_y_(parts.min_y),
-      width_x_(parts.width_x),
-      width_y_(parts.width_y),
-      minhash_(Column<uint64_t>::Borrow(parts.minhash)),
-      occ_cells_(Column<uint32_t>::Borrow(parts.occ_cells)),
-      occ_begin_(Column<uint32_t>::Borrow(parts.occ_begin)),
-      masks_(Column<uint64_t>::Borrow(parts.masks)),
-      user_keys_(Column<uint64_t>::Borrow(parts.user_keys)),
-      user_key_begin_(Column<uint32_t>::Borrow(parts.user_key_begin)),
-      post_keys_(Column<uint64_t>::Borrow(parts.post_keys)),
-      post_begin_(Column<uint32_t>::Borrow(parts.post_begin)),
-      post_users_(Column<UserId>::Borrow(parts.post_users)),
-      band_salt_(parts.band_salt),
-      row_salts_(Column<uint64_t>::Borrow(parts.row_salts)) {}
-
-SketchParts UserSketchIndex::parts() const {
-  SketchParts p;
-  p.params = params_;
-  p.num_users = num_users_;
-  p.band_salt = band_salt_;
-  p.min_x = min_x_;
-  p.min_y = min_y_;
-  p.width_x = width_x_;
-  p.width_y = width_y_;
-  p.minhash = minhash_;
-  p.occ_cells = occ_cells_;
-  p.occ_begin = occ_begin_;
-  p.masks = masks_;
-  p.user_keys = user_keys_;
-  p.user_key_begin = user_key_begin_;
-  p.post_keys = post_keys_;
-  p.post_begin = post_begin_;
-  p.post_users = post_users_;
-  p.row_salts = row_salts_;
-  return p;
 }
 
 std::span<const UserId> UserSketchIndex::Postings(uint64_t key) const {
@@ -514,7 +348,7 @@ bool UserSketchIndex::OccupancyClose(UserId u, UserId v,
 }
 
 SketchCandidates UserSketchIndex::GenerateCandidates(
-    double eps_loc, const SketchOptions& options) const {
+    double eps_loc, uint32_t heavy_capacity) const {
   SketchCandidates out;
   if (num_users_ == 0 || post_keys_.empty()) return out;
 
@@ -597,8 +431,7 @@ SketchCandidates UserSketchIndex::GenerateCandidates(
     }
     return i < j;  // ties: ascending (a, b)
   };
-  const uint32_t heavy =
-      std::min<uint32_t>(options.heavy_capacity, total);
+  const uint32_t heavy = std::min<uint32_t>(heavy_capacity, total);
   if (heavy < total) {
     std::nth_element(out.priority.begin(), out.priority.begin() + heavy,
                      out.priority.end(), heavier);

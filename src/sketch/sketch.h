@@ -17,9 +17,12 @@
 // sketches, whose dilation radii round outward, so every rejection is a
 // proof of spatial separation.
 //
-// Built once per database (DatabaseBuilder::Build), independent of any
-// query threshold: the index grid is fixed-resolution, and eps_loc enters
-// only through the probe radius at generation time.
+// A standalone experiment, like S-PPJ-C or the Hausdorff comparator: the
+// caller builds the index explicitly (BuildUserSketches) and passes it to
+// the drivers in sketch/sketch_join.h. No database, snapshot, epoch or
+// plan carries one. The index is independent of any query threshold: the
+// index grid is fixed-resolution, and eps_loc enters only through the
+// probe radius at generation time.
 
 #ifndef STPS_SKETCH_SKETCH_H_
 #define STPS_SKETCH_SKETCH_H_
@@ -27,39 +30,19 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/column.h"
 #include "sketch/count_min.h"
-#include "sketch/options.h"
 #include "stjoin/object.h"
 
 namespace stps {
 
 class ObjectDatabase;
 
-/// Epoch-stable 64-bit hash of a token: FNV-1a over the token *string*,
-/// finished by the sketch layer's shared mixer. Every hash family in the
-/// sketch layer (MinHash rows, LSH bands) keys off this value rather than
-/// the token id, because ids are reassigned by document frequency on
-/// every publish — hashing the string makes a user's sketch rows a pure
-/// function of its token *set*, which is what lets the delta publish path
-/// (core/update.cc) splice unchanged users' rows across epochs while the
-/// fresh build computes bit-identical values.
-inline uint64_t StableTokenHash(std::string_view token) {
-  uint64_t h = 0xCBF29CE484222325ull;  // FNV offset basis
-  for (const char c : token) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;  // FNV prime
-  }
-  return SketchMix64(h);
-}
-
 /// Build-time shape of the sketch layer. The defaults are sized for the
 /// library's workloads (hundreds of thousands of users, tens of tokens
-/// per object); they are compile-time-free knobs, not query parameters.
+/// per object); they are index parameters, not query parameters.
 struct SketchParams {
   /// MinHash rows per user (k = 64: standard error 1/sqrt(k) ~ 0.125).
   uint32_t num_hashes = 64;
@@ -77,13 +60,11 @@ struct SketchParams {
   uint32_t occupancy_grid_bits = 6;
   /// Master seed for every hash family in the layer.
   uint64_t seed = 0x53545053u;  // "STPS"
-
-  friend bool operator==(const SketchParams& a, const SketchParams& b) {
-    return a.num_hashes == b.num_hashes && a.num_bands == b.num_bands &&
-           a.index_grid_bits == b.index_grid_bits &&
-           a.occupancy_grid_bits == b.occupancy_grid_bits && a.seed == b.seed;
-  }
 };
+
+/// Default size of the count-min heavy-hitters list that seeds the top-k
+/// verification order (see GenerateCandidates).
+inline constexpr uint32_t kDefaultHeavyCapacity = 1024;
 
 /// Output of one candidate-generation pass.
 struct SketchCandidates {
@@ -100,65 +81,11 @@ struct SketchCandidates {
   uint64_t rejections = 0;
 };
 
-/// Flat-view decomposition of a UserSketchIndex: every scalar plus spans
-/// over the ten POD arrays. The snapshot writer serializes from it and
-/// the mmap loader reconstructs an index that borrows the arena through
-/// it (io/snapshot_v3.cc); verify-mode loads compare a rebuilt index
-/// against it element-wise.
-struct SketchParts {
-  SketchParams params;
-  uint64_t num_users = 0;
-  uint64_t band_salt = 0;
-  double min_x = 0.0, min_y = 0.0, width_x = 0.0, width_y = 0.0;
-  std::span<const uint64_t> minhash;
-  std::span<const uint32_t> occ_cells;
-  std::span<const uint32_t> occ_begin;
-  std::span<const uint64_t> masks;
-  std::span<const uint64_t> user_keys;
-  std::span<const uint32_t> user_key_begin;
-  std::span<const uint64_t> post_keys;
-  std::span<const uint32_t> post_begin;
-  std::span<const UserId> post_users;
-  std::span<const uint64_t> row_salts;
-};
-
-/// Immutable per-user sketches + band index for one database. Moved-into
-/// the ObjectDatabase as a shared_ptr at Build time.
+/// Immutable per-user sketches + band index for one database.
 class UserSketchIndex {
  public:
   UserSketchIndex(const ObjectDatabase& db, const SketchParams& params);
 
-  /// Delta (splice) mode, for the incremental publish path: users whose
-  /// point sets did not change between epochs copy their rows (MinHash,
-  /// occupancy cells, mask, band keys) straight out of `prev`; the rest
-  /// are computed from `db` exactly like the fresh constructor. This is
-  /// bit-identical to `UserSketchIndex(db, params)` because every
-  /// per-user row is a pure function of the user's point set: hashes key
-  /// off StableTokenHash (epoch-stable), and both grids are framed by
-  /// db.bounds(), which the caller guarantees equals the bounds `prev`
-  /// was built against. Preconditions (checked): params == prev.params(),
-  /// prev_user_of_new.size() == db.num_users(), and each mapped id is a
-  /// user of `prev` with the same point set as its new counterpart.
-  /// `prev_user_of_new[u]` is the user's id in the previous epoch, or
-  /// UINT32_MAX to rebuild u from `db`. `stable_hashes`, when non-empty,
-  /// must hold StableTokenHash(dict.TokenString(t)) per token id — the
-  /// publish path maintains these per interned token, sparing the splice
-  /// an O(dictionary) re-hash; empty recomputes them here.
-  UserSketchIndex(const ObjectDatabase& db, const UserSketchIndex& prev,
-                  std::span<const uint32_t> prev_user_of_new,
-                  const SketchParams& params,
-                  std::span<const uint64_t> stable_hashes = {});
-
-  /// Borrowed (arena-view) mode: adopts the spans of `parts` without
-  /// copying. The caller keeps the backing storage alive and has
-  /// validated the CSR invariants (io/snapshot_v3.cc).
-  explicit UserSketchIndex(const SketchParts& parts);
-
-  /// The flat-view decomposition of this index (spans point into the
-  /// index's storage).
-  SketchParts parts() const;
-
-  const SketchParams& params() const { return params_; }
   size_t num_users() const { return num_users_; }
 
   /// The MinHash signature of user u's union token set (num_hashes rows;
@@ -188,10 +115,13 @@ class UserSketchIndex {
   }
 
   /// Generates the candidate pairs for queries at `eps_loc` (see the
-  /// soundness contract above). Deterministic in (db, params, eps_loc,
-  /// options.heavy_capacity).
-  SketchCandidates GenerateCandidates(double eps_loc,
-                                      const SketchOptions& options) const;
+  /// soundness contract above). `heavy_capacity` is the length of the
+  /// count-min heavy-hitters head of `priority` (highest estimated
+  /// co-occurrence first, so a top-k queue's threshold rises early); it
+  /// orders verification only and never changes `pairs`. Deterministic
+  /// in (db, params, eps_loc, heavy_capacity).
+  SketchCandidates GenerateCandidates(
+      double eps_loc, uint32_t heavy_capacity = kDefaultHeavyCapacity) const;
 
   /// True when the occupancy sketches cannot rule out that u and v have
   /// objects within eps_loc of each other (bitmap test, then the exact
@@ -208,24 +138,20 @@ class UserSketchIndex {
   // Grid frames (index grid and occupancy grid share the db bounds).
   double min_x_ = 0.0, min_y_ = 0.0, width_x_ = 0.0, width_y_ = 0.0;
 
-  // Owned when built from a database, borrowed when loaded from an
-  // mmap'd snapshot (the ObjectDatabase's arena_ pins the storage).
-  Column<uint64_t> minhash_;      // num_users * num_hashes
-  Column<uint32_t> occ_cells_;    // CSR: sorted distinct fine cells
-  Column<uint32_t> occ_begin_;    // size num_users + 1
-  Column<uint64_t> masks_;        // 8x8 folds of occ_cells_
-  Column<uint64_t> user_keys_;    // CSR: sorted distinct (cell, band)
-  Column<uint32_t> user_key_begin_;
+  std::vector<uint64_t> minhash_;      // num_users * num_hashes
+  std::vector<uint32_t> occ_cells_;    // CSR: sorted distinct fine cells
+  std::vector<uint32_t> occ_begin_;    // size num_users + 1
+  std::vector<uint64_t> masks_;        // 8x8 folds of occ_cells_
+  std::vector<uint64_t> user_keys_;    // CSR: sorted distinct (cell, band)
+  std::vector<uint32_t> user_key_begin_;
   // Flat postings: sorted distinct keys -> ascending user lists.
-  Column<uint64_t> post_keys_;
-  Column<uint32_t> post_begin_;   // size post_keys_ + 1
-  Column<UserId> post_users_;
-  uint64_t band_salt_ = 0;
-  Column<uint64_t> row_salts_;    // minhash row seeds
+  std::vector<uint64_t> post_keys_;
+  std::vector<uint32_t> post_begin_;   // size post_keys_ + 1
+  std::vector<UserId> post_users_;
 };
 
-/// Builds the sketch layer for a finished database. Called by
-/// DatabaseBuilder::Build; exposed for tests that want custom params.
+/// Builds the sketch layer for a finished database: the index every
+/// driver in sketch/sketch_join.h takes.
 std::shared_ptr<const UserSketchIndex> BuildUserSketches(
     const ObjectDatabase& db, const SketchParams& params = {});
 

@@ -9,20 +9,21 @@
 #include "core/ppjb.h"
 #include "core/result_queue.h"
 #include "core/user_grid.h"
-#include "sketch/sketch.h"
 
 namespace stps {
 
 std::vector<ScoredUserPair> SketchSTPSJoin(const ObjectDatabase& db,
+                                           const UserSketchIndex& sketches,
                                            const STPSQuery& query,
                                            const ParallelOptions& parallel,
                                            JoinStats* stats) {
+  STPS_CHECK(query.eps_loc > 0.0);
   STPS_CHECK(query.eps_doc > 0.0);
   STPS_CHECK(query.eps_u > 0.0);
+  STPS_CHECK(sketches.num_users() == db.num_users());
   if (db.num_objects() == 0) return {};
 
-  const SketchCandidates cand =
-      db.sketches().GenerateCandidates(query.eps_loc, query.sketch);
+  const SketchCandidates cand = sketches.GenerateCandidates(query.eps_loc);
   if (stats != nullptr) {
     stats->sketch_candidate_pairs += cand.pairs.size();
     stats->sketch_rejections += cand.rejections;
@@ -102,15 +103,18 @@ void VerifyIntoQueue(const ObjectDatabase& db, const UserGrid& grid,
 }  // namespace
 
 std::vector<ScoredUserPair> SketchTopKSTPSJoin(
-    const ObjectDatabase& db, const TopKQuery& query,
-    const ParallelOptions& parallel, JoinStats* stats) {
+    const ObjectDatabase& db, const UserSketchIndex& sketches,
+    const TopKQuery& query, const ParallelOptions& parallel,
+    JoinStats* stats, uint32_t heavy_capacity) {
+  STPS_CHECK(query.eps_loc > 0.0);
   STPS_CHECK(query.eps_doc > 0.0);
   STPS_CHECK(query.k > 0);
+  STPS_CHECK(sketches.num_users() == db.num_users());
   ResultQueue queue(query.k);
   if (db.num_objects() == 0) return queue.TakeSorted();
 
   const SketchCandidates cand =
-      db.sketches().GenerateCandidates(query.eps_loc, query.sketch);
+      sketches.GenerateCandidates(query.eps_loc, heavy_capacity);
   if (stats != nullptr) {
     stats->sketch_candidate_pairs += cand.pairs.size();
     stats->sketch_rejections += cand.rejections;

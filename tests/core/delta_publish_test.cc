@@ -1,8 +1,7 @@
 // Delta publish correctness: the O(delta) splice path of
 // UpdatableDatabase::Publish must produce a database *structurally
 // bit-identical* to a fresh DatabaseBuilder::Build over the survivors —
-// every column, the dictionary, the sketch arrays, and the planner
-// stats — not merely one that answers queries the same way. The tests
+// every column, the dictionary, and the planner stats — not merely one that answers queries the same way. The tests
 // here force the delta and full paths alternately (the update_test
 // differential only hits whichever path the thresholds pick), verify
 // the fallback triggers (bounds growth, boundary deletes, dirty
@@ -25,7 +24,6 @@
 #include "core/stpsjoin.h"
 #include "core/update.h"
 #include "planner/planner_stats.h"
-#include "sketch/sketch.h"
 #include "test_util.h"
 
 namespace stps {
@@ -130,32 +128,9 @@ void ExpectSameDatabase(const ObjectDatabase& lhs, const ObjectDatabase& rhs) {
   ASSERT_TRUE(lhs.has_planner_stats());
   ASSERT_TRUE(rhs.has_planner_stats());
   EXPECT_TRUE(lhs.planner_stats() == rhs.planner_stats());
-
-  ASSERT_TRUE(lhs.has_sketches());
-  ASSERT_TRUE(rhs.has_sketches());
-  const SketchParts a = lhs.sketches().parts();
-  const SketchParts b = rhs.sketches().parts();
-  EXPECT_TRUE(a.params == b.params);
-  EXPECT_EQ(a.num_users, b.num_users);
-  EXPECT_EQ(a.band_salt, b.band_salt);
-  EXPECT_EQ(a.min_x, b.min_x);
-  EXPECT_EQ(a.min_y, b.min_y);
-  EXPECT_EQ(a.width_x, b.width_x);
-  EXPECT_EQ(a.width_y, b.width_y);
-  ExpectSpansEqual(a.minhash, b.minhash, "sketch minhash");
-  ExpectSpansEqual(a.occ_cells, b.occ_cells, "sketch occ_cells");
-  ExpectSpansEqual(a.occ_begin, b.occ_begin, "sketch occ_begin");
-  ExpectSpansEqual(a.masks, b.masks, "sketch masks");
-  ExpectSpansEqual(a.user_keys, b.user_keys, "sketch user_keys");
-  ExpectSpansEqual(a.user_key_begin, b.user_key_begin,
-                   "sketch user_key_begin");
-  ExpectSpansEqual(a.post_keys, b.post_keys, "sketch post_keys");
-  ExpectSpansEqual(a.post_begin, b.post_begin, "sketch post_begin");
-  ExpectSpansEqual(a.post_users, b.post_users, "sketch post_users");
-  ExpectSpansEqual(a.row_salts, b.row_salts, "sketch row_salts");
 }
 
-// Join-level agreement at the requested thread counts and sketch modes.
+// Join-level agreement at the requested thread counts.
 // Weaker than ExpectSameDatabase but exercises the actual kernels,
 // including kAuto (which needs real planner stats to plan).
 void ExpectSameJoinsAllModes(const ObjectDatabase& lhs,
@@ -167,20 +142,16 @@ void ExpectSameJoinsAllModes(const ObjectDatabase& lhs,
   const std::vector<ScoredUserPair> brute = BruteForceSTPSJoin(lhs, join);
   EXPECT_TRUE(SameResults(brute, BruteForceSTPSJoin(rhs, join), 0.0));
   for (const int threads : {1, 2, 8}) {
-    for (const bool sketch : {false, true}) {
-      STPSQuery query = join;
-      query.sketch.enabled = sketch;
-      for (const JoinAlgorithm algorithm :
-           {JoinAlgorithm::kSPPJF, JoinAlgorithm::kAuto}) {
-        JoinOptions options;
-        options.algorithm = algorithm;
-        options.threads = threads;
-        const auto l = RunSTPSJoin(lhs, query, options);
-        EXPECT_TRUE(SameResults(l, RunSTPSJoin(rhs, query, options), 0.0))
-            << "threads=" << threads << " sketch=" << sketch
-            << " algorithm=" << static_cast<int>(algorithm);
-        EXPECT_TRUE(SameResults(l, brute, 0.0));
-      }
+    for (const JoinAlgorithm algorithm :
+         {JoinAlgorithm::kSPPJF, JoinAlgorithm::kAuto}) {
+      JoinOptions options;
+      options.algorithm = algorithm;
+      options.threads = threads;
+      const auto l = RunSTPSJoin(lhs, join, options);
+      EXPECT_TRUE(SameResults(l, RunSTPSJoin(rhs, join, options), 0.0))
+          << "threads=" << threads
+          << " algorithm=" << static_cast<int>(algorithm);
+      EXPECT_TRUE(SameResults(l, brute, 0.0));
     }
   }
   TopKQuery topk;

@@ -91,15 +91,6 @@ void ExpectSameJoins(const ObjectDatabase& lhs, const ObjectDatabase& rhs) {
     EXPECT_TRUE(SameResults(RunSTPSJoin(lhs, join, options),
                             RunSTPSJoin(rhs, join, options), 0.0));
   }
-  {
-    STPSQuery sketch = join;
-    sketch.sketch.enabled = true;
-    JoinOptions options;
-    options.algorithm = JoinAlgorithm::kSPPJF;
-    EXPECT_TRUE(SameResults(RunSTPSJoin(lhs, sketch, options),
-                            RunSTPSJoin(rhs, sketch, options), 0.0));
-    EXPECT_TRUE(SameResults(RunSTPSJoin(lhs, sketch, options), brute_l, 0.0));
-  }
 
   TopKQuery topk;
   topk.eps_loc = 0.15;

@@ -24,6 +24,8 @@
 #include "core/sppj_d.h"
 #include "core/stpsjoin.h"
 #include "core/topk.h"
+#include "sketch/sketch.h"
+#include "sketch/sketch_join.h"
 #include "test_util.h"
 
 namespace stps {
@@ -103,6 +105,20 @@ ObjectDatabase BuildAdversarialDatabase(double eps_loc, uint64_t seed) {
     add(user, {-90.0 - 10.0 * u, 80.0}, {"iso_u" + std::to_string(u)});
   }
 
+  // --- Rounding-up tie block: sigma = 2/10 = 1/5 for every pair of
+  // "fifth" users (one object each in a shared pile, four isolated
+  // ones). fl(1/5) lies above the rational 1/5, so a top-k prune against
+  // the rounded tail score would reject an exact tie.
+  const Point fifth_pile{-120.0, -120.0};
+  for (int u = 0; u < 5; ++u) {
+    const std::string user = "fifth" + std::to_string(u);
+    add(user, fifth_pile, PrefixDoc(2));
+    for (int o = 0; o < 4; ++o) {
+      add(user, {-130.0 - 10.0 * u, 100.0 + 10.0 * o},
+          {"iso_f" + std::to_string(u) + "_" + std::to_string(o)});
+    }
+  }
+
   // --- Degenerate-doc block: empty docs (never match any positive
   // eps_doc) and singleton docs (Jaccard is 0, 1/2, or 1 — nothing else)
   // sitting right on top of lattice points.
@@ -139,14 +155,32 @@ std::vector<STPSQuery> BoundaryJoinQueries(double eps_loc) {
   return queries;
 }
 
+// k values landing inside the sigma = 1/5 band of the rounding-up tie
+// block: a queue filled to the band's third pair holds a tail that a
+// later-visited band pair beats on the (a, b) tie-break.
+std::vector<size_t> FifthBandKs(const ObjectDatabase& db, double eps_loc,
+                                double eps_doc) {
+  const size_t users = db.num_users();
+  const auto all =
+      BruteForceTopK(db, TopKQuery{eps_loc, eps_doc, users * users});
+  size_t above = 0;
+  size_t band = 0;
+  for (const ScoredUserPair& pair : all) {
+    if (pair.score > 0.2) ++above;
+    if (pair.score == 0.2) ++band;
+  }
+  EXPECT_GE(band, 10u) << "eps_loc=" << eps_loc << " eps_doc=" << eps_doc;
+  return {above + 3, above + band / 2, above + band - 1};
+}
+
 class BoundaryOracleTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(BoundaryOracleTest, AllJoinVariantsMatchBruteForce) {
   const double eps_loc = GetParam();
   for (const uint64_t seed : {7u, 21u, 63u}) {
     const ObjectDatabase db = BuildAdversarialDatabase(eps_loc, seed);
-    for (const STPSQuery& base : BoundaryJoinQueries(eps_loc)) {
-      STPSQuery query = base;
+    const auto sketches = BuildUserSketches(db);
+    for (const STPSQuery& query : BoundaryJoinQueries(eps_loc)) {
       const auto expected = BruteForceSTPSJoin(db, query);
       for (const JoinAlgorithm algorithm :
            {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB,
@@ -166,25 +200,22 @@ TEST_P(BoundaryOracleTest, AllJoinVariantsMatchBruteForce) {
             << "parallel " << JoinAlgorithmName(algorithm)
             << " seed=" << seed << " eps_doc=" << query.eps_doc
             << " eps_u=" << query.eps_u;
-        // Sketch-accelerated candidate generation must survive the same
-        // ULP-adversarial boundaries: the band index may only widen the
-        // candidate set, so the verified results stay bit-identical at
-        // every thread count.
-        query.sketch.enabled = true;
-        for (const int threads : {1, 2, 8}) {
-          options.threads = threads;
-          JoinStats sketch_stats;
-          ASSERT_TRUE(SameResults(RunSTPSJoin(db, query, options,
-                                              &sketch_stats),
-                                  expected, /*tolerance=*/0.0))
-              << "sketch " << JoinAlgorithmName(algorithm)
-              << " threads=" << threads << " seed=" << seed
-              << " eps_doc=" << query.eps_doc << " eps_u=" << query.eps_u;
-          EXPECT_EQ(sketch_stats.matches_found, expected.size());
-          EXPECT_GE(sketch_stats.sketch_candidate_pairs,
-                    sketch_stats.matches_found);
-        }
-        query.sketch = SketchOptions{};
+      }
+      // The standalone sketch driver must survive the same
+      // ULP-adversarial boundaries: the band index may only widen the
+      // candidate set, so the verified results stay bit-identical at
+      // every thread count.
+      for (const int threads : {1, 2, 8}) {
+        JoinStats sketch_stats;
+        ASSERT_TRUE(SameResults(
+            SketchSTPSJoin(db, *sketches, query, ParallelOptions{threads, 0},
+                           &sketch_stats),
+            expected, /*tolerance=*/0.0))
+            << "sketch threads=" << threads << " seed=" << seed
+            << " eps_doc=" << query.eps_doc << " eps_u=" << query.eps_u;
+        EXPECT_EQ(sketch_stats.matches_found, expected.size());
+        EXPECT_GE(sketch_stats.sketch_candidate_pairs,
+                  sketch_stats.matches_found);
       }
       // The quadtree backend of S-PPJ-D routes through different
       // partition geometry; same boundaries, same answer.
@@ -204,10 +235,16 @@ TEST_P(BoundaryOracleTest, AllTopKVariantsMatchBruteForce) {
   const double third = 1.0 / 3.0;
   for (const uint64_t seed : {7u, 21u, 63u}) {
     const ObjectDatabase db = BuildAdversarialDatabase(eps_loc, seed);
+    const auto sketches = BuildUserSketches(db);
     for (const double eps_doc : {0.5, third, 0.2}) {
       // k values chosen to land inside the tied score bands the sigma
-      // blocks create (many pairs at exactly 1/2 and 1/3).
-      for (const size_t k : {1u, 3u, 7u, 12u, 50u}) {
+      // blocks create (many pairs at exactly 1/2 and 1/3, whose
+      // quotients are exact or round down, and at 1/5, which rounds up).
+      std::vector<size_t> ks = {1, 3, 7, 12, 50};
+      for (const size_t k : FifthBandKs(db, eps_loc, eps_doc)) {
+        ks.push_back(k);
+      }
+      for (const size_t k : ks) {
         TopKQuery query{eps_loc, eps_doc, k};
         const auto expected = BruteForceTopK(db, query);
         for (const TopKAlgorithm algorithm :
@@ -222,25 +259,21 @@ TEST_P(BoundaryOracleTest, AllTopKVariantsMatchBruteForce) {
               << "parallel " << TopKAlgorithmName(algorithm)
               << " seed=" << seed << " eps_doc=" << eps_doc << " k=" << k;
           query.parallel = ParallelOptions{};
-          // Sketch candidates arrive in heavy-hitters order; the queue's
-          // tie semantics must still produce the brute-force top-k on
-          // the exactly-tied score bands, at every thread count.
-          query.sketch.enabled = true;
-          for (const int threads : {1, 2, 8}) {
-            query.parallel = ParallelOptions{threads, 0};
-            JoinStats sketch_stats;
-            ASSERT_TRUE(
-                SameResults(RunTopKSTPSJoin(db, query, algorithm,
-                                            &sketch_stats),
-                            expected, /*tolerance=*/0.0))
-                << "sketch " << TopKAlgorithmName(algorithm)
-                << " threads=" << threads << " seed=" << seed
-                << " eps_doc=" << eps_doc << " k=" << k;
-            EXPECT_GE(sketch_stats.sketch_candidate_pairs,
-                      sketch_stats.matches_found);
-          }
-          query.sketch = SketchOptions{};
-          query.parallel = ParallelOptions{};
+        }
+        // The standalone sketch driver's candidates arrive in
+        // heavy-hitters order; the queue's tie semantics must still
+        // produce the brute-force top-k on the exactly-tied score bands,
+        // at every thread count.
+        for (const int threads : {1, 2, 8}) {
+          JoinStats sketch_stats;
+          ASSERT_TRUE(SameResults(
+              SketchTopKSTPSJoin(db, *sketches, query,
+                                 ParallelOptions{threads, 0}, &sketch_stats),
+              expected, /*tolerance=*/0.0))
+              << "sketch threads=" << threads << " seed=" << seed
+              << " eps_doc=" << eps_doc << " k=" << k;
+          EXPECT_GE(sketch_stats.sketch_candidate_pairs,
+                    sketch_stats.matches_found);
         }
         ASSERT_TRUE(SameResults(TopKSPPJD(db, query, /*fanout=*/16),
                                 expected, /*tolerance=*/0.0))

@@ -11,6 +11,8 @@
 #include "core/sppj_d.h"
 #include "core/stpsjoin.h"
 #include "core/topk.h"
+#include "sketch/sketch.h"
+#include "sketch/sketch_join.h"
 #include "test_util.h"
 
 namespace stps {
@@ -34,7 +36,9 @@ void CheckStatsInvariants(const JoinStats& stats, int64_t matches,
   }
 }
 
-// Sketch-driver accounting: every band-index candidate flows into the
+// Sketch-driver accounting (sketch/sketch_join.h, a standalone driver the
+// caller hands a BuildUserSketches index): every band-index candidate
+// flows into the
 // exact verify path (so the sketch counter IS the candidate counter) and
 // candidates dominate survivors — the monotone chain
 // sketch_candidate_pairs == pairs_candidate >= matches_found.
@@ -115,35 +119,28 @@ TEST_P(ConsistencyFuzzTest, AllJoinAlgorithmsAgreeOnRandomConfigs) {
       EXPECT_EQ(parallel_stats, stats)
           << "parallel " << JoinAlgorithmName(algorithm)
           << " seed=" << spec.seed;
+    }
 
-      // Sketch-accelerated candidate generation: bit-identical results
-      // and identical counters at 1, 2, and 8 threads (the sketch driver
-      // verifies a fixed candidate list, so not even matches_found may
-      // depend on the thread count).
-      query.sketch.enabled = true;
-      JoinStats first_sketch_stats;
-      for (const int threads : {1, 2, 8}) {
-        options.threads = threads;
-        JoinStats sketch_stats;
-        const auto sketched =
-            RunSTPSJoin(db, query, options, &sketch_stats);
-        ASSERT_TRUE(SameResults(sketched, expected, /*tolerance=*/0.0))
-            << "sketch " << JoinAlgorithmName(algorithm)
-            << " threads=" << threads << " seed=" << spec.seed;
-        CheckStatsInvariants(sketch_stats,
-                             static_cast<int64_t>(expected.size()),
-                             JoinAlgorithmName(algorithm).data());
-        CheckSketchInvariants(sketch_stats,
-                              JoinAlgorithmName(algorithm).data());
-        if (threads == 1) {
-          first_sketch_stats = sketch_stats;
-        } else {
-          EXPECT_EQ(sketch_stats, first_sketch_stats)
-              << "sketch " << JoinAlgorithmName(algorithm)
-              << " threads=" << threads << " seed=" << spec.seed;
-        }
+    // The standalone sketch driver: bit-identical results and identical
+    // counters at 1, 2, and 8 threads (it verifies a fixed candidate
+    // list, so not even matches_found may depend on the thread count).
+    const auto sketches = BuildUserSketches(db);
+    JoinStats first_sketch_stats;
+    for (const int threads : {1, 2, 8}) {
+      JoinStats sketch_stats;
+      const auto sketched = SketchSTPSJoin(
+          db, *sketches, query, ParallelOptions{threads, 0}, &sketch_stats);
+      ASSERT_TRUE(SameResults(sketched, expected, /*tolerance=*/0.0))
+          << "sketch threads=" << threads << " seed=" << spec.seed;
+      CheckStatsInvariants(sketch_stats,
+                           static_cast<int64_t>(expected.size()), "sketch");
+      CheckSketchInvariants(sketch_stats, "sketch");
+      if (threads == 1) {
+        first_sketch_stats = sketch_stats;
+      } else {
+        EXPECT_EQ(sketch_stats, first_sketch_stats)
+            << "sketch threads=" << threads << " seed=" << spec.seed;
       }
-      query.sketch = SketchOptions{};
     }
 
     // The planner route: whatever shape kAuto resolves to (the choice
@@ -216,25 +213,21 @@ TEST(ConsistencyDuplicateLocationsTest, AllAlgorithmsAgree) {
           << JoinAlgorithmName(algorithm) << " eps_doc=" << eps_doc;
       EXPECT_EQ(parallel_stats, stats)
           << JoinAlgorithmName(algorithm) << " eps_doc=" << eps_doc;
+    }
 
-      // Duplicate locations collapse many pairs into one sketch cell and
-      // band; the candidate superset must still cover every match.
-      query.sketch.enabled = true;
-      for (const int threads : {1, 3}) {
-        options.threads = threads;
-        JoinStats sketch_stats;
-        ASSERT_TRUE(SameResults(RunSTPSJoin(db, query, options,
-                                            &sketch_stats),
-                                expected, /*tolerance=*/0.0))
-            << "sketch " << JoinAlgorithmName(algorithm)
-            << " threads=" << threads << " eps_doc=" << eps_doc;
-        CheckStatsInvariants(sketch_stats,
-                             static_cast<int64_t>(expected.size()),
-                             JoinAlgorithmName(algorithm).data());
-        CheckSketchInvariants(sketch_stats,
-                              JoinAlgorithmName(algorithm).data());
-      }
-      query.sketch = SketchOptions{};
+    // Duplicate locations collapse many pairs into one sketch cell and
+    // band; the candidate superset must still cover every match.
+    const auto sketches = BuildUserSketches(db);
+    for (const int threads : {1, 3}) {
+      JoinStats sketch_stats;
+      ASSERT_TRUE(SameResults(
+          SketchSTPSJoin(db, *sketches, query, ParallelOptions{threads, 0},
+                         &sketch_stats),
+          expected, /*tolerance=*/0.0))
+          << "sketch threads=" << threads << " eps_doc=" << eps_doc;
+      CheckStatsInvariants(sketch_stats,
+                           static_cast<int64_t>(expected.size()), "sketch");
+      CheckSketchInvariants(sketch_stats, "sketch");
     }
   }
 }
@@ -273,28 +266,25 @@ TEST_P(ConsistencyFuzzTest, AllTopKVariantsAgreeOnRandomConfigs) {
           << " seed=" << spec.seed << " k=" << query.k;
       CheckStatsInvariants(parallel_stats, /*matches=*/-1,
                            TopKAlgorithmName(algorithm).data());
+    }
 
-      // Sketch candidates in heavy-hitters order: bit-identical top-k at
-      // 1, 2, and 8 threads, at a round-varying heavy-list capacity (the
-      // verification order must never leak into the results).
-      query.sketch.enabled = true;
-      query.sketch.heavy_capacity = 1 + static_cast<uint32_t>(round) * 7;
-      for (const int threads : {1, 2, 8}) {
-        query.parallel = ParallelOptions{threads, 0};
-        JoinStats sketch_stats;
-        ASSERT_TRUE(
-            SameResults(RunTopKSTPSJoin(db, query, algorithm, &sketch_stats),
-                        expected, /*tolerance=*/0.0))
-            << "sketch " << TopKAlgorithmName(algorithm)
-            << " threads=" << threads << " seed=" << spec.seed
-            << " k=" << query.k;
-        CheckStatsInvariants(sketch_stats, /*matches=*/-1,
-                             TopKAlgorithmName(algorithm).data());
-        CheckSketchInvariants(sketch_stats,
-                              TopKAlgorithmName(algorithm).data());
-      }
-      query.sketch = SketchOptions{};
-      query.parallel = ParallelOptions{};
+    // The standalone sketch top-k driver, candidates in heavy-hitters
+    // order: bit-identical top-k at 1, 2, and 8 threads, at a
+    // round-varying heavy-list capacity (the verification order must
+    // never leak into the results).
+    const auto sketches = BuildUserSketches(db);
+    const uint32_t heavy_capacity = 1 + static_cast<uint32_t>(round) * 7;
+    for (const int threads : {1, 2, 8}) {
+      JoinStats sketch_stats;
+      ASSERT_TRUE(SameResults(
+          SketchTopKSTPSJoin(db, *sketches, query,
+                             ParallelOptions{threads, 0}, &sketch_stats,
+                             heavy_capacity),
+          expected, /*tolerance=*/0.0))
+          << "sketch threads=" << threads << " seed=" << spec.seed
+          << " k=" << query.k << " heavy_capacity=" << heavy_capacity;
+      CheckStatsInvariants(sketch_stats, /*matches=*/-1, "sketch");
+      CheckSketchInvariants(sketch_stats, "sketch");
     }
 
     // kAuto top-k resolves through the planner; the unique top-k under

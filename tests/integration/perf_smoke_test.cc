@@ -13,6 +13,8 @@
 #include "core/stpsjoin.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
+#include "sketch/sketch.h"
+#include "sketch/sketch_join.h"
 
 namespace stps {
 namespace {
@@ -66,22 +68,22 @@ TEST(PerfSmokeTest, SigmaBarFilterActuallyPrunes) {
 }
 
 TEST(PerfSmokeTest, SketchCandidatesUndercutVerifyEverythingBaseline) {
-  // The sketch layer's reason to exist: on a sparse many-users workload
-  // its band-index candidate set — every one of which is exactly
-  // verified — must stay well below the S-PPJ-C baseline's verification
-  // count while producing the same matches. (On dense city-extent
+  // The standalone sketch layer's reason to exist: on a sparse
+  // many-users workload its band-index candidate set — every one of
+  // which is exactly verified — must stay well below the S-PPJ-C
+  // baseline's verification count while producing the same matches. (On dense city-extent
   // corpora nearly every pair is a true candidate; there the sketch has
   // nothing to skip, which is why this budget uses the sparse preset.)
   const ObjectDatabase db = GenerateDataset(
       PresetSpec(DatasetKind::kCheckinSparse, 400, 3));
-  STPSQuery query = DefaultQuery(DatasetKind::kCheckinSparse);
+  const STPSQuery query = DefaultQuery(DatasetKind::kCheckinSparse);
 
   JoinStats baseline_stats;
   const auto baseline = SPPJC(db, query, &baseline_stats);
 
-  query.sketch.enabled = true;
   JoinStats sketch_stats;
-  const auto sketched = RunSTPSJoin(db, query, {}, &sketch_stats);
+  const auto sketched = SketchSTPSJoin(db, *BuildUserSketches(db), query,
+                                       ParallelOptions{}, &sketch_stats);
 
   ASSERT_EQ(baseline.size(), sketched.size());
   EXPECT_EQ(sketch_stats.sketch_candidate_pairs, sketch_stats.pairs_verified);

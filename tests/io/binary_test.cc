@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/stpsjoin.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "io/format_v3.h"
+#include "io/tsv.h"
 #include "planner/planner_stats.h"
 #include "test_util.h"
 
@@ -19,6 +23,7 @@ namespace {
 
 using testing_util::BuildRandomDatabase;
 using testing_util::RandomDbSpec;
+using testing_util::SameResults;
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
@@ -194,6 +199,100 @@ TEST(BinaryIoTest, RoundTripMapped) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameDatabases(original, loaded.value());
   std::remove(path.c_str());
+}
+
+// A v3 file's header flags and section kinds, read straight off disk.
+struct V3Layout {
+  uint64_t flags = 0;
+  std::vector<uint32_t> kinds;
+};
+
+V3Layout ReadV3Layout(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  V3Layout layout;
+  HeaderV3 header;
+  if (bytes.size() < sizeof(header)) return layout;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  layout.flags = header.flags;
+  for (uint64_t i = 0; i < header.section_count; ++i) {
+    SectionEntry entry;
+    const size_t at = header.table_offset + i * sizeof(entry);
+    if (at + sizeof(entry) > bytes.size()) break;
+    std::memcpy(&entry, bytes.data() + at, sizeof(entry));
+    layout.kinds.push_back(entry.kind);
+  }
+  return layout;
+}
+
+// testdata/legacy_v3.stpsdb is testdata/legacy_v3.tsv converted by a
+// stps_cli whose databases still carried the per-user sketch layer: flags
+// bit 1 set and the now-reserved sections 16-26 present. Every reader
+// must still open it, answer exactly like the TSV, and write it back
+// without the reserved sections.
+TEST(BinaryIoTest, LegacySketchSnapshotStillLoads) {
+  const std::string dir = STPS_TESTDATA_DIR;
+  const std::string legacy = dir + "/legacy_v3.stpsdb";
+  const V3Layout legacy_layout = ReadV3Layout(legacy);
+  ASSERT_NE(legacy_layout.flags & kFlagLegacySketch, 0u);
+  ASSERT_EQ(legacy_layout.kinds.size(), 26u);
+
+  Result<ObjectDatabase> tsv = ReadTsv(dir + "/legacy_v3.tsv");
+  ASSERT_TRUE(tsv.ok()) << tsv.status().ToString();
+  const STPSQuery join{0.05, 0.3, 0.3};
+  const TopKQuery topk{0.05, 0.3, 5};
+  const auto join_expected = RunSTPSJoin(tsv.value(), join);
+  const auto topk_expected =
+      RunTopKSTPSJoin(tsv.value(), topk, TopKAlgorithm::kP);
+  ASSERT_FALSE(join_expected.empty());
+  ASSERT_EQ(topk_expected.size(), topk.k);
+
+  const auto expect_same_answers = [&](const ObjectDatabase& db,
+                                       const char* reader) {
+    ExpectSameDatabases(tsv.value(), db);
+    for (const JoinAlgorithm algorithm :
+         {JoinAlgorithm::kSPPJF, JoinAlgorithm::kSPPJB,
+          JoinAlgorithm::kBruteForce, JoinAlgorithm::kAuto}) {
+      JoinOptions options;
+      options.algorithm = algorithm;
+      EXPECT_TRUE(SameResults(RunSTPSJoin(db, join, options), join_expected,
+                              /*tolerance=*/0.0))
+          << reader << " " << JoinAlgorithmName(algorithm);
+    }
+    for (const TopKAlgorithm algorithm :
+         {TopKAlgorithm::kP, TopKAlgorithm::kBruteForce,
+          TopKAlgorithm::kAuto}) {
+      EXPECT_TRUE(SameResults(RunTopKSTPSJoin(db, topk, algorithm),
+                              topk_expected, /*tolerance=*/0.0))
+          << reader << " " << TopKAlgorithmName(algorithm);
+    }
+  };
+
+  Result<ObjectDatabase> heap = ReadBinary(legacy);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  expect_same_answers(heap.value(), "ReadBinary");
+  Result<MappedSnapshot> mapped = MappedSnapshot::Open(legacy);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  Result<ObjectDatabase> trusted = mapped.value().Load();
+  ASSERT_TRUE(trusted.ok()) << trusted.status().ToString();
+  expect_same_answers(trusted.value(), "MappedSnapshot::Load");
+  Result<ObjectDatabase> verified = mapped.value().LoadVerified();
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  expect_same_answers(verified.value(), "MappedSnapshot::LoadVerified");
+
+  const std::string rewritten = TempPath("legacy_rewritten.stpsdb");
+  ASSERT_TRUE(WriteBinary(heap.value(), rewritten).ok());
+  const V3Layout layout = ReadV3Layout(rewritten);
+  EXPECT_EQ(layout.flags & kFlagLegacySketch, 0u);
+  EXPECT_EQ(layout.kinds.size(), 15u);
+  for (const uint32_t kind : layout.kinds) {
+    EXPECT_LE(kind, static_cast<uint32_t>(kSecPlannerStats));
+  }
+  Result<ObjectDatabase> reloaded = ReadBinary(rewritten);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  expect_same_answers(reloaded.value(), "rewritten");
+  std::remove(rewritten.c_str());
 }
 
 TEST(BinaryIoTest, MappedOpenRejectsV2Stream) {

@@ -72,28 +72,23 @@ TEST_F(MappedDifferentialTest, JoinsIdenticalAcrossVariants) {
        {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJF,
         JoinAlgorithm::kSPPJD, JoinAlgorithm::kBruteForce}) {
     for (const int threads : {1, 2}) {
-      for (const bool sketch : {false, true}) {
-        STPSQuery q = query;
-        q.sketch.enabled = sketch;
-        JoinOptions options;
-        options.algorithm = algorithm;
-        options.threads = threads;
-        JoinStats so, sh, sm;
-        const auto ro = RunSTPSJoin(original_, q, options, &so);
-        const auto rh = RunSTPSJoin(heap_, q, options, &sh);
-        const auto rm = RunSTPSJoin(mapped_, q, options, &sm);
-        const std::string what =
-            std::string(JoinAlgorithmName(algorithm)) + " threads=" +
-            std::to_string(threads) + " sketch=" + (sketch ? "1" : "0");
-        ExpectBitIdentical(ro, rh, (what + " heap").c_str());
-        ExpectBitIdentical(ro, rm, (what + " mapped").c_str());
-        EXPECT_TRUE(so == sh) << what << ": heap stats diverge\n"
-                              << FormatJoinStats(so) << "\n"
-                              << FormatJoinStats(sh);
-        EXPECT_TRUE(so == sm) << what << ": mapped stats diverge\n"
-                              << FormatJoinStats(so) << "\n"
-                              << FormatJoinStats(sm);
-      }
+      JoinOptions options;
+      options.algorithm = algorithm;
+      options.threads = threads;
+      JoinStats so, sh, sm;
+      const auto ro = RunSTPSJoin(original_, query, options, &so);
+      const auto rh = RunSTPSJoin(heap_, query, options, &sh);
+      const auto rm = RunSTPSJoin(mapped_, query, options, &sm);
+      const std::string what = std::string(JoinAlgorithmName(algorithm)) +
+                               " threads=" + std::to_string(threads);
+      ExpectBitIdentical(ro, rh, (what + " heap").c_str());
+      ExpectBitIdentical(ro, rm, (what + " mapped").c_str());
+      EXPECT_TRUE(so == sh) << what << ": heap stats diverge\n"
+                            << FormatJoinStats(so) << "\n"
+                            << FormatJoinStats(sh);
+      EXPECT_TRUE(so == sm) << what << ": mapped stats diverge\n"
+                            << FormatJoinStats(so) << "\n"
+                            << FormatJoinStats(sm);
     }
   }
 }
@@ -106,20 +101,15 @@ TEST_F(MappedDifferentialTest, TopKIdenticalAcrossVariants) {
   for (const TopKAlgorithm algorithm :
        {TopKAlgorithm::kF, TopKAlgorithm::kS, TopKAlgorithm::kP,
         TopKAlgorithm::kBruteForce}) {
-    for (const bool sketch : {false, true}) {
-      TopKQuery q = query;
-      q.sketch.enabled = sketch;
-      JoinStats so, sh, sm;
-      const auto ro = RunTopKSTPSJoin(original_, q, algorithm, &so);
-      const auto rh = RunTopKSTPSJoin(heap_, q, algorithm, &sh);
-      const auto rm = RunTopKSTPSJoin(mapped_, q, algorithm, &sm);
-      const std::string what = std::string(TopKAlgorithmName(algorithm)) +
-                               " sketch=" + (sketch ? "1" : "0");
-      ExpectBitIdentical(ro, rh, (what + " heap").c_str());
-      ExpectBitIdentical(ro, rm, (what + " mapped").c_str());
-      EXPECT_TRUE(so == sh) << what << ": heap stats diverge";
-      EXPECT_TRUE(so == sm) << what << ": mapped stats diverge";
-    }
+    JoinStats so, sh, sm;
+    const auto ro = RunTopKSTPSJoin(original_, query, algorithm, &so);
+    const auto rh = RunTopKSTPSJoin(heap_, query, algorithm, &sh);
+    const auto rm = RunTopKSTPSJoin(mapped_, query, algorithm, &sm);
+    const std::string what(TopKAlgorithmName(algorithm));
+    ExpectBitIdentical(ro, rh, (what + " heap").c_str());
+    ExpectBitIdentical(ro, rm, (what + " mapped").c_str());
+    EXPECT_TRUE(so == sh) << what << ": heap stats diverge";
+    EXPECT_TRUE(so == sm) << what << ": mapped stats diverge";
   }
 }
 

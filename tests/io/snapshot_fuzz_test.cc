@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "io/binary.h"
+#include "io/format_v3.h"
 #include "test_util.h"
 
 namespace stps {
@@ -118,6 +120,43 @@ TEST(SnapshotFuzzTest, V3TruncationsRejected) {
 TEST(SnapshotFuzzTest, V3TrailingGarbageRejected) {
   FuzzTrailingGarbage(
       SnapshotBytes(SnapshotFormat::kV3Arena, "fuzz3g.stpsdb"));
+}
+
+// A v3 file written while databases still carried the per-user sketch
+// layer (flags bit 1, reserved sections 16-26; see binary_test).
+std::string LegacySnapshotBytes() {
+  const std::string bytes =
+      ReadFile(std::string(STPS_TESTDATA_DIR) + "/legacy_v3.stpsdb");
+  EXPECT_GT(bytes.size(), sizeof(HeaderV3));
+  return bytes;
+}
+
+TEST(SnapshotFuzzTest, LegacyV3BitFlipsRejected) {
+  const std::string bytes = LegacySnapshotBytes();
+  ASSERT_GT(bytes.size(), sizeof(HeaderV3));
+  FuzzBitFlips(bytes);
+  // One flip inside every reserved section: the readers decode nothing
+  // from them, so only the section and file checksums can catch these.
+  HeaderV3 header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  size_t reserved = 0;
+  for (uint64_t i = 0; i < header.section_count; ++i) {
+    SectionEntry entry;
+    std::memcpy(&entry,
+                bytes.data() + header.table_offset + i * sizeof(entry),
+                sizeof(entry));
+    if (entry.kind < kSecLegacySketchMeta || entry.size == 0) continue;
+    ++reserved;
+    const size_t pos = entry.offset + entry.size / 2;
+    std::string mutated = bytes;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x10);
+    ExpectRejected(mutated, "reserved-section bit flip", pos);
+  }
+  EXPECT_EQ(reserved, 11u);
+}
+
+TEST(SnapshotFuzzTest, LegacyV3TruncationsRejected) {
+  FuzzTruncations(LegacySnapshotBytes());
 }
 
 TEST(SnapshotFuzzTest, V2BitFlipsRejected) {

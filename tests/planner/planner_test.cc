@@ -1,6 +1,6 @@
 // Planner test suite: differential correctness of kAuto against the
-// brute-force oracle (any thread budget, sketch on or off — the planner
-// may only ever be wrong about speed), the guaranteed properties of the
+// brute-force oracle (any thread budget — the planner may only ever be
+// wrong about speed), the guaranteed properties of the
 // selectivity estimator (finite, non-negative, monotone in each
 // threshold), the all-pairs pricing of S-PPJ-B/C and the plan a fresh
 // process picks on the sparse presets, the online-feedback EWMA
@@ -77,26 +77,22 @@ TEST_P(PlannerDifferentialTest, AutoJoinMatchesBruteForce) {
       query.eps_doc = rng.Uniform(0.1, 0.9);
       query.eps_u = rng.Uniform(0.05, 0.8);
       const auto expected = BruteForceSTPSJoin(db, query);
-      for (const bool sketch : {false, true}) {
-        query.sketch.enabled = sketch;
-        for (const int threads : {1, 2, 8}) {
-          JoinOptions options;
-          options.algorithm = JoinAlgorithm::kAuto;
-          options.threads = threads;
-          JoinStats stats;
-          const auto got = RunSTPSJoin(db, query, options, &stats);
-          ASSERT_TRUE(SameResults(got, expected, /*tolerance=*/0.0))
-              << "family=" << family << " threads=" << threads
-              << " sketch=" << sketch << " eps_loc=" << query.eps_loc
-              << " eps_doc=" << query.eps_doc << " eps_u=" << query.eps_u;
-          // The chosen plan's counters still satisfy the accounting
-          // invariant, whatever shape ran.
-          EXPECT_EQ(stats.pairs_candidate,
-                    stats.pairs_pruned_count + stats.pairs_verified);
-          EXPECT_EQ(stats.matches_found, expected.size());
-        }
+      for (const int threads : {1, 2, 8}) {
+        JoinOptions options;
+        options.algorithm = JoinAlgorithm::kAuto;
+        options.threads = threads;
+        JoinStats stats;
+        const auto got = RunSTPSJoin(db, query, options, &stats);
+        ASSERT_TRUE(SameResults(got, expected, /*tolerance=*/0.0))
+            << "family=" << family << " threads=" << threads
+            << " eps_loc=" << query.eps_loc << " eps_doc=" << query.eps_doc
+            << " eps_u=" << query.eps_u;
+        // The chosen plan's counters still satisfy the accounting
+        // invariant, whatever shape ran.
+        EXPECT_EQ(stats.pairs_candidate,
+                  stats.pairs_pruned_count + stats.pairs_verified);
+        EXPECT_EQ(stats.matches_found, expected.size());
       }
-      query.sketch = SketchOptions{};
     }
   }
 }
@@ -110,16 +106,12 @@ TEST_P(PlannerDifferentialTest, AutoTopKMatchesBruteForce) {
     query.eps_doc = rng.Uniform(0.1, 0.9);
     query.k = 1 + rng.NextBelow(20);
     const auto expected = BruteForceTopK(db, query);
-    for (const bool sketch : {false, true}) {
-      query.sketch.enabled = sketch;
-      for (const int threads : {1, 2, 8}) {
-        query.parallel = ParallelOptions{threads, 0};
-        const auto got =
-            RunTopKSTPSJoin(db, query, TopKAlgorithm::kAuto);
-        ASSERT_TRUE(SameResults(got, expected, /*tolerance=*/0.0))
-            << "family=" << family << " threads=" << threads
-            << " sketch=" << sketch << " k=" << query.k;
-      }
+    for (const int threads : {1, 2, 8}) {
+      query.parallel = ParallelOptions{threads, 0};
+      const auto got = RunTopKSTPSJoin(db, query, TopKAlgorithm::kAuto);
+      ASSERT_TRUE(SameResults(got, expected, /*tolerance=*/0.0))
+          << "family=" << family << " threads=" << threads
+          << " k=" << query.k;
     }
   }
 }
@@ -536,14 +528,13 @@ TEST(FeedbackTest, RepeatedAutoRunsStopSwitching) {
 
 TEST(PlannerPreconditionTest, InfeasibleShapesNeverEnumerated) {
   const ObjectDatabase db = FuzzDb(13, 0);
-  // eps_doc = 0: the filter-based pair (F, D) and sketches are unsound.
+  // eps_doc = 0: the filter-based pair (F, D) is unsound.
   {
     STPSQuery query{0.1, 0.0, 0.3};
     const PhysicalPlan plan = PlanSTPSJoin(db, query);
     for (const PlanCandidate& c : plan.considered) {
       EXPECT_NE(c.shape.join, JoinAlgorithm::kSPPJF);
       EXPECT_NE(c.shape.join, JoinAlgorithm::kSPPJD);
-      EXPECT_FALSE(c.shape.sketch);
     }
     JoinOptions options;
     options.algorithm = JoinAlgorithm::kAuto;
@@ -555,9 +546,7 @@ TEST(PlannerPreconditionTest, InfeasibleShapesNeverEnumerated) {
     STPSQuery query{0.0, 0.5, 0.3};
     const PhysicalPlan plan = PlanSTPSJoin(db, query);
     for (const PlanCandidate& c : plan.considered) {
-      if (!c.shape.sketch) {
-        EXPECT_EQ(c.shape.join, JoinAlgorithm::kBruteForce);
-      }
+      EXPECT_EQ(c.shape.join, JoinAlgorithm::kBruteForce);
     }
     JoinOptions options;
     options.algorithm = JoinAlgorithm::kAuto;
@@ -586,7 +575,7 @@ TEST(PlannerPreconditionTest, InfeasibleShapesNeverEnumerated) {
     options.algorithm = JoinAlgorithm::kAuto;
     EXPECT_TRUE(RunSTPSJoin(empty, query, options).empty());
   }
-  // Top-k with eps_doc = 0: index variants and sketches are out.
+  // Top-k with eps_doc = 0: index variants are out.
   {
     TopKQuery query{0.1, 0.0, 5};
     const PhysicalPlan plan = PlanTopKSTPSJoin(db, query);
@@ -648,7 +637,7 @@ TEST(PlannerExplainTest, PinnedPlanReportsTheExplicitShape) {
        {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB, JoinAlgorithm::kSPPJF,
         JoinAlgorithm::kSPPJD, JoinAlgorithm::kBruteForce}) {
     options.algorithm = algorithm;
-    const PlanShape shape = ExplicitJoinShape(query, options);
+    const PlanShape shape = ExplicitJoinShape(options);
     EXPECT_EQ(shape.join, algorithm);
     EXPECT_EQ(shape.threads, 2);
     const PhysicalPlan pinned = PinPlanShape(db, chosen, shape);

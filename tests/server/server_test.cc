@@ -184,9 +184,9 @@ TEST_F(ServerTest, JoinTopKProbeMatchLibraryCalls) {
   TestClient client(server_->port());
   ASSERT_TRUE(client.connected());
   EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2 ALGO sppjf"), join_expected);
-  // kAuto, sketch, and threaded runs return identical rows (exactness).
+  // kAuto and threaded runs return identical rows (exactness).
   EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2"), join_expected);
-  EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2 ALGO sppjb SKETCH THREADS 2"),
+  EXPECT_EQ(client.Query("JOIN 0.15 0.25 0.2 ALGO sppjb THREADS 2"),
             join_expected);
   // S-PPJ-B needs only eps_loc > 0; zero textual and similarity
   // thresholds make a valid all-pairs query.
@@ -196,7 +196,7 @@ TEST_F(ServerTest, JoinTopKProbeMatchLibraryCalls) {
             ExpectedRows(db, RunSTPSJoin(db, {0.001, 0.0, 0.0}, b_options),
                          snapshot->epoch));
   EXPECT_EQ(client.Query("TOPK 0.15 0.25 5 ALGO p"), topk_expected);
-  EXPECT_EQ(client.Query("TOPK 0.15 0.25 5 SKETCH"), topk_expected);
+  EXPECT_EQ(client.Query("TOPK 0.15 0.25 5 THREADS 2"), topk_expected);
   const std::string probe_request =
       "PROBE " + std::string(db.UserName(0)) + " 0.15 0.25 0.2";
   EXPECT_EQ(client.Query(probe_request), probe_expected);
@@ -235,13 +235,24 @@ TEST_F(ServerTest, MalformedRequestsGetUsageErrors) {
   expect_err("INSERT u 1.0zz 2.0 a,b");     // trailing garbage in number
   expect_err("SLEEP notanumber");
   // In-range thresholds that fail the chosen algorithm's preconditions:
-  // a grid algorithm, or the sketch route, with eps_loc = 0 would abort
-  // the whole server inside the driver.
+  // a grid algorithm with eps_loc = 0 would abort the whole server inside
+  // the driver.
   for (const char* request :
        {"JOIN 0 0.5 0.5 ALGO sppjf", "JOIN 0 0.5 0.5 ALGO sppjb",
-        "JOIN 0 0.5 0.5 ALGO sppjc", "JOIN 0 0.5 0.5 ALGO sppjd SKETCH",
-        "TOPK 0 0.5 5 ALGO f", "TOPK 0 0.5 5 ALGO s", "TOPK 0 0.5 5 ALGO p"}) {
+        "JOIN 0 0.5 0.5 ALGO sppjc", "TOPK 0 0.5 5 ALGO f",
+        "TOPK 0 0.5 5 ALGO s", "TOPK 0 0.5 5 ALGO p"}) {
     expect_err(request);
+    ASSERT_TRUE(client.SendLine("PING"));
+    EXPECT_EQ(client.ReadLine(), "OK pong") << request;
+  }
+  // SKETCH is no JOIN/TOPK option: a usage error, never silently
+  // ignored.
+  for (const char* request :
+       {"JOIN 0.15 0.25 0.2 SKETCH", "TOPK 0.15 0.25 5 SKETCH"}) {
+    ASSERT_TRUE(client.SendLine(request));
+    const std::string response = client.ReadLine();
+    EXPECT_EQ(response.rfind("ERR usage:", 0), 0u)
+        << request << " -> " << response;
     ASSERT_TRUE(client.SendLine("PING"));
     EXPECT_EQ(client.ReadLine(), "OK pong") << request;
   }

@@ -83,10 +83,8 @@ bool ContainsPair(const std::vector<std::pair<UserId, UserId>>& pairs,
 // set generated at the query's eps_loc.
 void CheckSoundness(const ObjectDatabase& db, const UserSketchIndex& index,
                     uint64_t seed) {
-  const SketchOptions options;
   for (const double eps_loc : {0.03, 0.12, 0.4}) {
-    const SketchCandidates cand =
-        index.GenerateCandidates(eps_loc, options);
+    const SketchCandidates cand = index.GenerateCandidates(eps_loc);
     // Structural sanity: sorted unique (a, b) pairs, a < b, priority is a
     // permutation.
     for (size_t i = 0; i < cand.pairs.size(); ++i) {
@@ -126,7 +124,7 @@ class SketchSoundnessTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SketchSoundnessTest, BandIndexNeverDropsAnExactPair) {
   const ObjectDatabase db = BuildFuzzDatabase(GetParam());
-  CheckSoundness(db, db.sketches(), GetParam());
+  CheckSoundness(db, *BuildUserSketches(db), GetParam());
 }
 
 TEST_P(SketchSoundnessTest, SoundUnderCollisionHeavyParams) {
@@ -147,12 +145,12 @@ TEST_P(SketchSoundnessTest, HotspotDatabasesStaySound) {
   spec.seed = GetParam();
   spec.num_users = 25;
   const ObjectDatabase db = BuildRandomDatabase(spec);
-  CheckSoundness(db, db.sketches(), GetParam());
+  CheckSoundness(db, *BuildUserSketches(db), GetParam());
 }
 
 TEST_P(SketchSoundnessTest, OccupancyRejectionIsASeparationProof) {
   const ObjectDatabase db = BuildFuzzDatabase(GetParam() + 31);
-  const UserSketchIndex& index = db.sketches();
+  const UserSketchIndex index(db, SketchParams{});
   for (const double eps_loc : {0.02, 0.1, 0.5}) {
     for (UserId u = 0; u < db.num_users(); ++u) {
       for (UserId v = u + 1; v < db.num_users(); ++v) {
@@ -197,7 +195,7 @@ TEST(SketchMinHashTest, EstimatesWithinChernoffBounds) {
                       std::span<const std::string>(kws));
   }
   const ObjectDatabase db = std::move(builder).Build();
-  const UserSketchIndex& index = db.sketches();
+  const UserSketchIndex index(db, SketchParams{});
 
   std::vector<std::set<TokenId>> unions(db.num_users());
   for (const STObject& o : db.AllObjects()) {
@@ -234,7 +232,7 @@ TEST(SketchMinHashTest, EmptyUnionEstimatesZero) {
   builder.AddObject("empty2", {1, 1}, std::span<const std::string>());
   builder.AddObject("full", {2, 2}, std::span<const std::string>(doc));
   const ObjectDatabase db = std::move(builder).Build();
-  const UserSketchIndex& index = db.sketches();
+  const UserSketchIndex index(db, SketchParams{});
   // Two empty unions: Jaccard 0 by convention, not the 1.0 their
   // identical all-sentinel signatures would suggest.
   EXPECT_EQ(index.EstimateUnionJaccard(0, 1), 0.0);
@@ -277,13 +275,12 @@ TEST(SketchCandidateTest, HeavyCapacityBoundsThePriorityHead) {
   spec.seed = 5;
   spec.num_users = 30;
   const ObjectDatabase db = BuildRandomDatabase(spec);
-  SketchOptions few;
-  few.heavy_capacity = 3;
+  constexpr uint32_t kFew = 3;
   const SketchCandidates cand =
-      db.sketches().GenerateCandidates(0.1, few);
-  if (cand.pairs.size() <= few.heavy_capacity) return;
+      BuildUserSketches(db)->GenerateCandidates(0.1, kFew);
+  if (cand.pairs.size() <= kFew) return;
   // Beyond the heavy head the order must be the natural (a, b) order.
-  for (size_t i = few.heavy_capacity + 1; i < cand.priority.size(); ++i) {
+  for (size_t i = kFew + 1; i < cand.priority.size(); ++i) {
     EXPECT_LT(cand.priority[i - 1], cand.priority[i]);
   }
 }

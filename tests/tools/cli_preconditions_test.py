@@ -6,7 +6,9 @@ Each case must exit 2 with an "error:" line, like any other argv error:
 the grid algorithms need eps_loc > 0, S-PPJ-F and the index-based top-k
 variants need eps_doc > 0, and `tune` scales its steps by positive
 initial thresholds. A threshold an algorithm does not need stays
-accepted: S-PPJ-B runs with eps_doc = eps_u = 0.
+accepted: S-PPJ-B runs with eps_doc = eps_u = 0. Flags the commands do
+not take (`--sketch`) exit 2 with the usage text instead of being
+ignored.
 
 Usage: cli_preconditions_test.py <path to stps_cli>
 """
@@ -42,6 +44,13 @@ def main():
             errors = [line for line in proc.stderr.splitlines()
                       if line.startswith("error:")]
             if proc.returncode != 2 or not errors:
+                failures.append(f"{' '.join(args[:1] + args[2:])}: exit "
+                                f"{proc.returncode}, stderr {proc.stderr!r}")
+
+        for args in (["join", data, "0.001", "0.4", "0.4", "--sketch"],
+                     ["topk", data, "0.001", "0.4", "5", "--sketch"]):
+            proc = run(cli, *args)
+            if proc.returncode != 2 or "usage:" not in proc.stderr:
                 failures.append(f"{' '.join(args[:1] + args[2:])}: exit "
                                 f"{proc.returncode}, stderr {proc.stderr!r}")
 

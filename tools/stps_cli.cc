@@ -5,12 +5,11 @@
 //       checkin).
 //   stps_cli stats <data.tsv>
 //       Print Table-1-style descriptive statistics.
-//   stps_cli join <data.tsv> <eps_loc> <eps_doc> <eps_u> [--sketch]
-//       [--explain] [--mapped] [--threads N] [algorithm]
+//   stps_cli join <data.tsv> <eps_loc> <eps_doc> <eps_u> [--explain]
+//       [--mapped] [--threads N] [algorithm]
 //       Run STPSJoin (algorithm: auto | sppjc | sppjb | sppjf | sppjd |
 //       brute; default auto — the cost-model planner picks). Prints one
-//       "userA userB sigma" row per pair. --sketch draws candidates from
-//       the sketch layer (same results). --explain prints, as JSON
+//       "userA userB sigma" row per pair. --explain prints, as JSON
 //       instead of the pairs, the executed plan (kAuto's choice or the
 //       explicit algorithm), the planner's candidate table, the planner
 //       feedback state and an estimated-vs-actual counter table.
@@ -18,8 +17,8 @@
 //       on demand). --threads N is the join's thread budget (default 1):
 //       an explicit algorithm runs its pool-parallel driver on N
 //       workers, auto plans within it (bit-identical results).
-//   stps_cli topk <data.tsv> <eps_loc> <eps_doc> <k> [--sketch]
-//       [--explain] [--mapped] [variant]
+//   stps_cli topk <data.tsv> <eps_loc> <eps_doc> <k> [--explain]
+//       [--mapped] [variant]
 //       Run top-k STPSJoin (variant: auto | f | s | p | brute; default
 //       auto).
 //   stps_cli tune <data.tsv> <target_size> <eps_loc0> <eps_doc0> <eps_u0>
@@ -72,11 +71,10 @@ int Usage() {
       "[seed]\n"
       "  stps_cli stats <data.tsv>\n"
       "  stps_cli convert <in.tsv|in.stpsdb> <out.tsv|out.stpsdb>\n"
-      "  stps_cli join <data.tsv> <eps_loc> <eps_doc> <eps_u> [--sketch] "
-      "[--explain] [--mapped] [--threads N] "
-      "[auto|sppjc|sppjb|sppjf|sppjd|brute]\n"
-      "  stps_cli topk <data.tsv> <eps_loc> <eps_doc> <k> [--sketch] "
-      "[--explain] [--mapped] [auto|f|s|p|brute]\n"
+      "  stps_cli join <data.tsv> <eps_loc> <eps_doc> <eps_u> [--explain] "
+      "[--mapped] [--threads N] [auto|sppjc|sppjb|sppjf|sppjd|brute]\n"
+      "  stps_cli topk <data.tsv> <eps_loc> <eps_doc> <k> [--explain] "
+      "[--mapped] [auto|f|s|p|brute]\n"
       "  stps_cli tune <data.tsv> <target_size> <eps_loc0> <eps_doc0> "
       "<eps_u0>\n"
       "  stps_cli serve <data.tsv|data.stpsdb|-> <port> [--workers N] "
@@ -268,13 +266,12 @@ void PrintExplainJson(const char* command, const PhysicalPlan& plan,
   std::printf(
       "  \"actual\": {\"cells_visited\": %llu, \"pairs_candidate\": %llu, "
       "\"pairs_verified\": %llu, \"matches_found\": %llu, "
-      "\"sketch_candidate_pairs\": %llu, \"planner_estimated_candidates\": "
-      "%llu, \"planner_plan_switches\": %llu},\n",
+      "\"planner_estimated_candidates\": %llu, \"planner_plan_switches\": "
+      "%llu},\n",
       static_cast<unsigned long long>(stats.cells_visited),
       static_cast<unsigned long long>(stats.pairs_candidate),
       static_cast<unsigned long long>(stats.pairs_verified),
       static_cast<unsigned long long>(stats.matches_found),
-      static_cast<unsigned long long>(stats.sketch_candidate_pairs),
       static_cast<unsigned long long>(stats.planner_estimated_candidates),
       static_cast<unsigned long long>(stats.planner_plan_switches));
   std::printf("  \"result_pairs\": %zu,\n  \"elapsed_ms\": %.3f\n}\n",
@@ -307,8 +304,6 @@ int CmdJoin(int argc, char** argv) {
       options.algorithm = JoinAlgorithm::kSPPJD;
     } else if (name == "brute") {
       options.algorithm = JoinAlgorithm::kBruteForce;
-    } else if (name == "--sketch") {
-      query.sketch.enabled = true;
     } else if (name == "--explain") {
       explain = true;
     } else if (name == "--mapped") {
@@ -327,8 +322,7 @@ int CmdJoin(int argc, char** argv) {
   // Report the executed shape: kAuto's choice, or the explicit one.
   PhysicalPlan plan = PlanSTPSJoin(db, query, options);
   if (options.algorithm != JoinAlgorithm::kAuto) {
-    plan = PinPlanShape(db, std::move(plan),
-                        ExplicitJoinShape(query, options));
+    plan = PinPlanShape(db, std::move(plan), ExplicitJoinShape(options));
   }
   JoinStats stats;
   Timer timer;
@@ -371,8 +365,6 @@ int CmdTopK(int argc, char** argv) {
       algorithm = TopKAlgorithm::kP;
     } else if (name == "brute") {
       algorithm = TopKAlgorithm::kBruteForce;
-    } else if (name == "--sketch") {
-      query.sketch.enabled = true;
     } else if (name == "--explain") {
       explain = true;
     } else if (name == "--mapped") {
