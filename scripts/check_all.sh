@@ -51,6 +51,19 @@ python3 "$ROOT/scripts/compare_bench.py" \
     --require 'planner_cold_regret_vs_oracle<=2.0' \
     "$ROOT/BENCH_planner.json" "$ROOT/BENCH_planner.json"
 
+echo "=== perfbench: driver unit tests + sweep_sparse smoke ==="
+# Builds the repo benchmark's driver against src/ (into .bench_build/)
+# and runs its output checks (every pass matches the first pass, kAuto
+# matches the explicit plan), untraced and traced; any non-zero exit
+# fails the stage. serve_mixed is left out: with --seconds 1 it records
+# no TOPK sample and run.py stops on an empty median.
+(cd "$ROOT" && \
+     PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench/tests)
+(cd "$ROOT" && python3 perfbench/run.py --workload sweep_sparse --seed 1 \
+     --seconds 1 --trace 0)
+(cd "$ROOT" && python3 perfbench/run.py --workload sweep_sparse --seed 1 \
+     --seconds 1 --trace 1)
+
 echo "=== snapshot robustness: fuzz + mmap differential + io bench ==="
 # Bit-flip/truncation/trailing-garbage corruption fuzz, heap-vs-mapped
 # differential joins, and the binary round trips; then the io bench

@@ -127,8 +127,8 @@ const std::vector<UserId>* LeafPartitionIndex::TokenUsers(uint32_t leaf,
 namespace {
 
 // Earlier users (< u) sharing a relevant leaf with u, regardless of
-// tokens. The leaf-partitioning analogue of CountColocatedEarlierUsers:
-// splits the filter's prunes into spatial vs textual for JoinStats.
+// tokens. The leaf-partitioning analogue of CollectCandidates' co-located
+// count: splits the filter's prunes into spatial vs textual for JoinStats.
 size_t CountColocatedEarlierUsersD(const LeafPartitionIndex& index,
                                    const UserLayout& lu, UserId u) {
   thread_local std::vector<UserId> colocated;

@@ -11,6 +11,7 @@
 #ifndef STPS_CORE_SPPJ_D_H_
 #define STPS_CORE_SPPJ_D_H_
 
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"

@@ -1,8 +1,14 @@
-// S-PPJ-F (Algorithm 2): filter-and-refine STPSJoin over an incremental
-// spatio-textual grid index. For each new user u, candidate users are
-// those sharing a token with u in the same or an adjacent cell; the
-// sigma_bar upper bound prunes candidates, and survivors are refined with
-// the PPJ-B pair kernel. This is the paper's best-performing algorithm.
+// S-PPJ-F (Algorithm 2): filter-and-refine STPSJoin over the
+// spatio-textual grid index. For each user u, candidate users are the
+// earlier users sharing a token with u in the same or an adjacent cell;
+// the sigma_bar upper bound prunes candidates, and survivors are refined
+// with the PPJ-B pair kernel. This is the paper's best-performing
+// algorithm.
+//
+// The index is complete (built once over all users, user_grid.h), and
+// the filter keeps only users with a smaller id: exactly the users
+// Algorithm 2's incremental index holds when u is probed. The sequential
+// driver is the one-thread case of SPPJFParallel's per-user pass.
 
 #ifndef STPS_CORE_SPPJ_F_H_
 #define STPS_CORE_SPPJ_F_H_

@@ -1,14 +1,14 @@
 // Multi-threaded S-PPJ-F — a shared-memory step toward the paper's
 // future-work goal of distributed STPSJoin processing.
 //
-// Unlike the sequential algorithm, the spatio-textual grid index is built
-// *once* over all users; workers then process disjoint user subsets,
-// restricting candidates to users earlier in the total order, so every
-// pair is evaluated by exactly one worker. All shared state is immutable
-// during the parallel phase. Scheduling runs on the work-stealing
-// ThreadPool (common/thread_pool.h); results and JoinStats counters are
-// accumulated per worker slot and merged at the end, so the output is
-// bit-identical to SPPJF at any thread count.
+// The spatio-textual grid index is built *once* over all users; workers
+// then process disjoint user subsets, restricting candidates to users
+// earlier in the total order, so every pair is evaluated by exactly one
+// worker. All shared state is immutable during the parallel phase.
+// Scheduling runs on the work-stealing ThreadPool (common/thread_pool.h);
+// results and JoinStats counters are accumulated per worker slot and
+// merged at the end, so the output is bit-identical to SPPJF — the same
+// per-user pass on one thread — at any thread count.
 
 #ifndef STPS_CORE_SPPJ_F_PARALLEL_H_
 #define STPS_CORE_SPPJ_F_PARALLEL_H_

@@ -79,89 +79,52 @@ std::vector<UserId> OrderByPopularity(const ObjectDatabase& db,
 }
 
 // TOPK-S-PPJ-P prefilter: the number of objects of u that have a token
-// appearing (from a previously processed user) in their own or an
-// adjacent cell — an overestimate of |M(Du, D_{U'})|. With an incremental
-// index (`rank` == nullptr) every indexed user counts; with the full
-// index of the parallel driver, only inverted-list entries of earlier
-// rank count — the lists are in rank order, so checking the front
-// suffices and the estimate equals the incremental one.
-size_t EstimateMatchableObjects(const UserLayout& cu,
-                                const GridGeometry& geometry,
+// appearing (from a user of earlier rank) in their own or an adjacent
+// cell — an overestimate of |M(Du, D_{U'})|. The index lists are in rank
+// order, so a token's front entry decides whether any earlier user
+// carries it there.
+size_t EstimateMatchableObjects(const GridGeometry& geometry,
                                 const SpatioTextualGridIndex& index,
-                                const std::vector<uint32_t>* rank,
-                                uint32_t rank_u) {
+                                const UserLayout& cu, uint32_t rank_u) {
   size_t count = 0;
   // Hoisted per-thread scratch (runs once per probing user in the -P
-  // variants, sequential and pool-parallel alike).
+  // variant).
   thread_local std::vector<CellId> neighbors;
-  thread_local std::vector<CellId> occupied;
+  thread_local TokenVector tokens;
+  thread_local std::vector<char> matchable;  // per entry of `tokens`
   for (const UserPartition& cell : cu) {
     neighbors.clear();
     geometry.AppendNeighborhood(cell.id, /*include_self=*/true, &neighbors);
-    // Drop neighbour cells with no indexed objects at all.
-    occupied.clear();
+    DistinctTokens(cell.objects, &tokens);
+    // Flag the cell's tokens some earlier user has nearby.
+    matchable.assign(tokens.size(), 0);
+    bool any = false;
     for (const CellId n : neighbors) {
-      if (index.CellOccupied(n)) occupied.push_back(n);
+      const uint32_t slot = index.FindCell(n);
+      if (slot == SpatioTextualGridIndex::kNoSlot) continue;
+      if (index.Rank(index.CellUsers(slot).front()) >= rank_u) continue;
+      index.ForEachSharedToken(
+          slot, tokens, [&](size_t i, std::span<const UserId> users) {
+            if (index.Rank(users.front()) < rank_u) {
+              matchable[i] = 1;
+              any = true;
+            }
+          });
     }
-    if (occupied.empty()) continue;
+    if (!any) continue;
     for (const ObjectRef& ref : cell.objects) {
-      bool matchable = false;
       for (const TokenId t : ref.object->doc) {
-        for (const CellId n : occupied) {
-          const std::vector<UserId>* users = index.TokenUsers(n, t);
-          if (users == nullptr) continue;
-          if (rank != nullptr && (*rank)[users->front()] >= rank_u) continue;
-          matchable = true;
+        const size_t i = static_cast<size_t>(
+            std::lower_bound(tokens.begin(), tokens.end(), t) -
+            tokens.begin());
+        if (matchable[i] != 0) {
+          ++count;
           break;
         }
-        if (matchable) break;
       }
-      if (matchable) ++count;
     }
   }
   return count;
-}
-
-// Token-probes the cells of u against the index. With `rank` == nullptr
-// (incremental index) every indexed user is a candidate; otherwise only
-// users of earlier rank are, and the rank-ordered inverted lists allow an
-// early break. `candidates` must have had BeginRound called for this user.
-void CollectCandidates(const UserGrid& grid,
-                       const SpatioTextualGridIndex& index,
-                       const UserLayout& cu,
-                       const std::vector<uint32_t>* rank, uint32_t rank_u,
-                       UserCandidateTable<CandidateCells>* candidates,
-                       JoinStats* stats) {
-  thread_local std::vector<CellId> neighbors;
-  thread_local TokenVector tokens;
-  for (const UserPartition& cell : cu) {
-    DistinctTokens(cell.objects, &tokens);
-    neighbors.clear();
-    grid.geometry().AppendNeighborhood(cell.id, /*include_self=*/true,
-                                       &neighbors);
-    for (const CellId other : neighbors) {
-      if (stats != nullptr) ++stats->cells_visited;
-      for (const TokenId token : tokens) {
-        const std::vector<UserId>* users = index.TokenUsers(other, token);
-        if (users == nullptr) continue;
-        for (const UserId candidate : *users) {
-          if (rank != nullptr && (*rank)[candidate] >= rank_u) {
-            break;  // lists are ascending by rank
-          }
-          CandidateCells& cc = (*candidates)[candidate];
-          // Opportunistic growth limiting only; SortUnique in the refine
-          // step is the authoritative dedup (their_cells interleaves
-          // across the outer cell loop).
-          if (cc.my_cells.empty() || cc.my_cells.back() != cell.id) {
-            cc.my_cells.push_back(cell.id);
-          }
-          if (cc.their_cells.empty() || cc.their_cells.back() != other) {
-            cc.their_cells.push_back(other);
-          }
-        }
-      }
-    }
-  }
 }
 
 // Refines u's candidates against `queue`: the sigma_bar count bound once
@@ -215,47 +178,7 @@ std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
                                          const TopKQuery& query,
                                          TopKVariant variant,
                                          JoinStats* stats) {
-  STPS_CHECK(query.eps_doc > 0.0);
-  STPS_CHECK(query.k > 0);
-  ResultQueue queue(query.k);
-  if (db.num_objects() == 0) return queue.TakeSorted();
-
-  const UserGrid grid(db, query.eps_loc);
-  const MatchThresholds t = query.match_thresholds();
-  const std::vector<UserId> order = variant == TopKVariant::kS
-                                        ? OrderByPopularity(db, grid)
-                                        : OrderBySize(db);
-
-  SpatioTextualGridIndex index;
-  UserCandidateTable<CandidateCells> candidates;
-  size_t max_prev_size = 0;
-
-  for (const UserId u : order) {
-    const UserLayout& cu = grid.UserCells(u);
-    const size_t nu = db.UserObjectCount(u);
-
-    // TOPK-S-PPJ-P: Lemma 2 prefilter. Valid because every previously
-    // processed user u' has |Du'| <= |Du| under the ascending-size order.
-    if (variant == TopKVariant::kP && queue.full() && max_prev_size > 0) {
-      const size_t matchable = EstimateMatchableObjects(
-          cu, grid.geometry(), index, /*rank=*/nullptr, /*rank_u=*/0);
-      // Exact counting form of sigma_bar_u < Threshold() — ties survive.
-      if (!SigmaAtLeast(matchable + max_prev_size, nu + max_prev_size,
-                        queue.Threshold())) {
-        index.AddUser(u, cu);
-        max_prev_size = std::max(max_prev_size, nu);
-        continue;
-      }
-    }
-
-    candidates.BeginRound(db.num_users());
-    CollectCandidates(grid, index, cu, /*rank=*/nullptr, /*rank_u=*/0,
-                      &candidates, stats);
-    index.AddUser(u, cu);
-    max_prev_size = std::max(max_prev_size, nu);
-    RefineCandidates(db, grid, t, u, cu, nu, &candidates, &queue, stats);
-  }
-  return queue.TakeSorted();
+  return TopKSTPSJoinParallel(db, query, variant, ParallelOptions{}, stats);
 }
 
 std::vector<ScoredUserPair> TopKSTPSJoinParallel(
@@ -272,14 +195,10 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
   const std::vector<UserId> order = variant == TopKVariant::kS
                                         ? OrderByPopularity(db, grid)
                                         : OrderBySize(db);
-  std::vector<uint32_t> rank(db.num_users(), 0);
-  for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-
-  // Full index, inserted in rank order: the inverted lists ascend by
-  // rank, so candidate collection sees exactly the users the sequential
-  // incremental index would hold.
-  SpatioTextualGridIndex index;
-  for (const UserId u : order) index.AddUser(u, grid.UserCells(u));
+  // The complete index, lists in processing order: with the earlier-rank
+  // cut, user u sees exactly the users Algorithm 4's incremental index
+  // holds when u is processed.
+  const SpatioTextualGridIndex index(grid, order);
 
   ThreadPool pool(parallel.num_threads);
   const size_t slots = static_cast<size_t>(pool.num_threads());
@@ -288,6 +207,7 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
   pool.ParallelForEach(
       0, order.size(), parallel.grain, [&](size_t r, int worker) {
         const UserId u = order[r];
+        const uint32_t rank_u = static_cast<uint32_t>(r);
         const UserLayout& cu = grid.UserCells(u);
         const size_t nu = db.UserObjectCount(u);
         ResultQueue& local = queues[static_cast<size_t>(worker)];
@@ -295,18 +215,18 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
                             ? &worker_stats[static_cast<size_t>(worker)]
                             : nullptr;
 
-        // Lemma 2 prefilter against the local queue: it holds k real
-        // pairs, so anything below its threshold is outside the global
-        // top-k too. Under the ascending-size order, the running max of
-        // previous sizes is simply the previous user's size.
+        // TOPK-S-PPJ-P: Lemma 2 prefilter against the worker's queue (on
+        // one thread, the only queue). A queue holds k real pairs, so
+        // anything below its threshold is outside the global top-k too.
+        // Under the ascending-size order, the running max of previous
+        // sizes is simply the previous user's size.
         if (variant == TopKVariant::kP && r > 0 && local.full()) {
           const size_t max_prev_size = db.UserObjectCount(order[r - 1]);
           if (max_prev_size > 0) {
             const size_t matchable = EstimateMatchableObjects(
-                cu, grid.geometry(), index, &rank,
-                static_cast<uint32_t>(r));
-            // Same exact counting prune as the sequential driver, so the
-            // two resolve threshold-grazing users identically.
+                grid.geometry(), index, cu, rank_u);
+            // Exact counting form of sigma_bar_u < Threshold() — ties
+            // survive.
             if (!SigmaAtLeast(matchable + max_prev_size, nu + max_prev_size,
                               local.Threshold())) {
               return;
@@ -316,8 +236,8 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
 
         thread_local UserCandidateTable<CandidateCells> candidates;
         candidates.BeginRound(db.num_users());
-        CollectCandidates(grid, index, cu, &rank,
-                          static_cast<uint32_t>(r), &candidates, ws);
+        CollectCandidates(grid.geometry(), index, cu, rank_u, &candidates,
+                          ws);
         RefineCandidates(db, grid, t, u, cu, nu, &candidates, &local, ws);
       });
 

@@ -33,7 +33,8 @@ enum class TopKVariant {
 
 /// Evaluates the top-k STPSJoin query. Precondition: eps_doc > 0.
 /// Result is sorted best-first and has at most k entries (fewer when
-/// fewer than k pairs have sigma > 0).
+/// fewer than k pairs have sigma > 0). The one-thread case of
+/// TopKSTPSJoinParallel.
 std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
                                          const TopKQuery& query,
                                          TopKVariant variant,

@@ -13,20 +13,24 @@
 // the batched eps_loc kernels (spatial/batch.h) stream a whole cell block
 // per probe instead of chasing one STObject pointer per candidate.
 //
-// SpatioTextualGridIndex is the incremental index of S-PPJ-F (Figure 3):
-// per occupied cell, an inverted list token -> users having an object with
-// that token in the cell.
+// SpatioTextualGridIndex is the spatio-textual grid index of S-PPJ-F and
+// TOPK-S-PPJ-* (Figure 3): per occupied cell, an inverted list token ->
+// users having an object with that token in the cell. It is built once
+// per query over every user as flat CSR arrays; the drivers' earlier-user
+// cut over it reproduces Algorithm 2's incremental index exactly.
 
 #ifndef STPS_CORE_USER_GRID_H_
 #define STPS_CORE_USER_GRID_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/database.h"
+#include "core/join_stats.h"
 #include "spatial/grid.h"
 #include "stjoin/ppj.h"
 
@@ -183,13 +187,12 @@ struct CandidateCells {
   }
 };
 
-/// Dense epoch-stamped per-user candidate accumulator, replacing the
-/// unordered_map<UserId, V> tables of the filter loops: operator[] is an
-/// array index plus a stamp compare, and starting a new probing user is
-/// O(1) — no rehash, no per-round clear of the value slots (a slot is
-/// lazily Clear()ed the first time its stamp misses the current round).
-/// SortedTouched() yields this round's candidates ascending by id, making
-/// the refine order deterministic (the maps iterated in hash order).
+/// Dense epoch-stamped per-user candidate accumulator for the filter
+/// loops: operator[] is an array index plus a stamp compare, and starting
+/// a new probing user is O(1) — no rehash, no per-round clear of the value
+/// slots (a slot is lazily Clear()ed the first time its stamp misses the
+/// current round). SortedTouched() yields this round's candidates
+/// ascending by id, which makes the refine order deterministic.
 template <typename V>
 class UserCandidateTable {
  public:
@@ -233,45 +236,132 @@ class UserCandidateTable {
   std::vector<UserId> touched_;
 };
 
-/// Incremental per-cell inverted index: token -> users (S-PPJ-F /
-/// TOPK-S-PPJ-*). Users must be added at most once each.
+/// The complete spatio-textual grid index of S-PPJ-F / TOPK-S-PPJ-*,
+/// built once per query over every user of a UserGrid.
+///
+/// An open-addressing table maps each occupied CellId to a dense slot;
+/// two counting sorts by slot (and a sort of each cell's short token run)
+/// lay out the CSR arrays slot -> users, slot -> sorted distinct tokens,
+/// and token entry -> users. Every user
+/// list is in processing order (`order` at construction), so a probe that
+/// wants only the users processed before u stops at the first entry whose
+/// Rank() reaches u's. With that earlier-user cut the complete index
+/// yields exactly the candidates of Algorithm 2's incremental index.
 class SpatioTextualGridIndex {
  public:
-  SpatioTextualGridIndex() = default;
+  /// FindCell's answer for a cell holding no object.
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
-  /// Indexes every (cell, token) of the user's cell list.
-  void AddUser(UserId u, const UserLayout& cells);
+  /// Indexes every user of `grid`. `order` is the processing order: a
+  /// permutation of the grid's user ids.
+  SpatioTextualGridIndex(const UserGrid& grid, std::span<const UserId> order);
 
-  /// The users (in insertion order) having an object with token `t` in
-  /// cell `cell`; nullptr when none.
-  const std::vector<UserId>* TokenUsers(CellId cell, TokenId t) const;
+  /// The slot of `cell`, or kNoSlot when no object lies in it (including
+  /// ids outside the grid).
+  uint32_t FindCell(CellId cell) const {
+    return buckets_[BucketOf(cell)].slot;
+  }
 
-  /// The users (in insertion order, one entry each) having any object in
-  /// `cell`; nullptr when the cell is empty. Used by the JoinStats
-  /// spatial/textual filter breakdown.
-  const std::vector<UserId>* CellUsers(CellId cell) const;
+  /// Number of occupied cells (slots are 0 .. num_cells() - 1).
+  size_t num_cells() const { return cell_user_begin_.size() - 1; }
 
-  /// True when cell `cell` holds any indexed object.
-  bool CellOccupied(CellId cell) const {
-    return cells_.find(cell) != cells_.end();
+  /// Number of indexed users.
+  size_t num_users() const { return rank_.size(); }
+
+  /// Position of user `u` in the processing order.
+  uint32_t Rank(UserId u) const {
+    STPS_DCHECK(u < rank_.size());
+    return rank_[u];
+  }
+
+  /// Every user with an object in the slot's cell, one entry each, in
+  /// processing order. Includes users whose objects there carry no token
+  /// (the JoinStats spatial/textual breakdown counts them).
+  std::span<const UserId> CellUsers(uint32_t slot) const {
+    return Range(cell_users_, cell_user_begin_, slot);
+  }
+
+  /// The distinct tokens of the slot's cell, ascending.
+  std::span<const TokenId> CellTokens(uint32_t slot) const {
+    return Range(tokens_, cell_token_begin_, slot);
+  }
+
+  /// The users (in processing order) having an object in the slot's cell
+  /// that carries CellTokens(slot)[i].
+  std::span<const UserId> TokenUsers(uint32_t slot, size_t i) const {
+    return Range(entry_users_, entry_user_begin_,
+                 cell_token_begin_[slot] + static_cast<uint32_t>(i));
+  }
+
+  /// Merges the ascending `tokens` with the slot's token run: calls
+  /// fn(i, users) for every tokens[i] that also occurs in the cell, in
+  /// ascending order, with that token's TokenUsers.
+  template <typename Fn>
+  void ForEachSharedToken(uint32_t slot, std::span<const TokenId> tokens,
+                          Fn&& fn) const {
+    const std::span<const TokenId> run = CellTokens(slot);
+    const TokenId* it = run.data();
+    const TokenId* const end = run.data() + run.size();
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      it = std::lower_bound(it, end, tokens[i]);
+      if (it == end) return;
+      if (*it == tokens[i]) {
+        fn(i, TokenUsers(slot, static_cast<size_t>(it - run.data())));
+      }
+    }
   }
 
  private:
-  struct CellIndex {
-    std::unordered_map<TokenId, std::vector<UserId>> token_users;
-    std::vector<UserId> users;  // insertion order, one entry per user
+  struct Bucket {
+    CellId cell = 0;
+    uint32_t slot = kNoSlot;
   };
-  std::unordered_map<CellId, CellIndex> cells_;
+
+  // The bucket holding `cell`, or the empty bucket where it would go:
+  // linear probing from the top bits of the id times 2^64 / phi.
+  size_t BucketOf(CellId cell) const {
+    size_t i = static_cast<size_t>(
+        (static_cast<uint64_t>(cell) * 0x9E3779B97F4A7C15ull) >>
+        bucket_shift_);
+    while (buckets_[i].slot != kNoSlot && buckets_[i].cell != cell) {
+      i = (i + 1) & bucket_mask_;
+    }
+    return i;
+  }
+
+  template <typename T>
+  static std::span<const T> Range(const std::vector<T>& values,
+                                  const std::vector<uint32_t>& begin,
+                                  size_t i) {
+    return std::span<const T>(values.data() + begin[i],
+                              begin[i + 1] - begin[i]);
+  }
+
+  std::vector<Bucket> buckets_;  // power-of-two open-addressing table
+  size_t bucket_mask_ = 0;
+  int bucket_shift_ = 0;
+  std::vector<uint32_t> rank_;             // user -> processing position
+  std::vector<uint32_t> cell_user_begin_;  // slot -> cell_users_ offset
+  std::vector<UserId> cell_users_;
+  std::vector<uint32_t> cell_token_begin_;  // slot -> tokens_ offset
+  std::vector<TokenId> tokens_;             // one token entry each
+  std::vector<uint32_t> entry_user_begin_;  // entry -> entry_users_ offset
+  std::vector<UserId> entry_users_;
 };
 
-/// Number of distinct indexed users with id < u having an object in
-/// `cu`'s cells or their neighbourhood — the users that pass the spatial
-/// part of the S-PPJ-F filter for user u. Requires the index's per-cell
-/// user lists to be ascending by id (true when users are added in id
-/// order). Only used for the JoinStats spatial/textual breakdown.
-size_t CountColocatedEarlierUsers(const GridGeometry& geometry,
-                                  const SpatioTextualGridIndex& index,
-                                  const UserLayout& cu, UserId u);
+/// The S-PPJ-F filter for the user of rank `rank_u`: token-probes each
+/// cell of `cu` against the index over the cell and its neighbours and
+/// records, per user of earlier rank sharing a token, the supporting cells
+/// of both sides. `candidates` must have had BeginRound called for this
+/// user. When `colocated` is non-null it receives the number of distinct
+/// earlier users with any object in those neighbourhoods — the users that
+/// pass the spatial part of the filter, for the JoinStats spatial/textual
+/// breakdown. Shared by S-PPJ-F and the TOPK-S-PPJ-* drivers.
+void CollectCandidates(const GridGeometry& geometry,
+                       const SpatioTextualGridIndex& index,
+                       const UserLayout& cu, uint32_t rank_u,
+                       UserCandidateTable<CandidateCells>* candidates,
+                       JoinStats* stats, size_t* colocated = nullptr);
 
 }  // namespace stps
 

@@ -178,7 +178,7 @@ double EstimateShapeCost(const PlannerStats& stats, const PlanShape& shape,
                kWalkUnitsPerCell * est.bounded_walk_cells;
       break;
     case JoinAlgorithm::kSPPJF:
-      // Incremental inverted index: pay per stored (object, token) to
+      // Per-query inverted grid index: pay per stored (object, token) to
       // build and probe, refine only the textual survivors, plus
       // per-candidate bookkeeping for the count bound.
       build = 2.0 * n * (t + 2.0);

@@ -37,10 +37,24 @@ double ConservativeCellSize(const Rect& bounds, double cell_size) {
   return AddRoundUp(cell_size, margin);
 }
 
+// The most cells a grid spans per axis: row * columns + column then stays
+// below 2^62, far inside CellId, however small eps_loc gets.
+constexpr double kMaxCellsPerAxis = 2147483648.0;  // 2^31
+
+// The conservative cell size, grown to at least 1/2^31 of the larger
+// extent. Growing is sound: the filter only needs cells at least eps_loc
+// wide, so coarser cells merely admit more candidates.
+double GridCellSize(const Rect& bounds, double cell_size) {
+  const double extent = std::max(bounds.max_x - bounds.min_x,
+                                 bounds.max_y - bounds.min_y);
+  return std::max(ConservativeCellSize(bounds, cell_size),
+                  extent / kMaxCellsPerAxis);
+}
+
 }  // namespace
 
 GridGeometry::GridGeometry(const Rect& bounds, double cell_size)
-    : bounds_(bounds), cell_size_(ConservativeCellSize(bounds, cell_size)) {
+    : bounds_(bounds), cell_size_(GridCellSize(bounds, cell_size)) {
   STPS_CHECK(cell_size > 0.0);
   STPS_CHECK(!bounds.IsEmpty());
   columns_ = std::max<int64_t>(

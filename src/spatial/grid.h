@@ -30,6 +30,8 @@ class GridGeometry {
   /// rows/columns despite floating-point rounding in the cell assignment
   /// (see grid.cc and the rounding policy in common/predicates.h). A point
   /// exactly on a cell boundary is therefore assigned the lower cell.
+  /// Cells also grow to at least 1/2^31 of the larger extent, so each
+  /// axis has at most 2^31 cells and ids cannot overflow at tiny sizes.
   /// Preconditions: cell_size > 0, !bounds.IsEmpty().
   GridGeometry(const Rect& bounds, double cell_size);
 

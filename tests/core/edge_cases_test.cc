@@ -175,6 +175,41 @@ TEST(EdgeCaseTest, EpsLocLargerThanWorld) {
   ExpectAllAlgorithmsAgree(db, query, "huge eps_loc");
 }
 
+TEST(EdgeCaseTest, TinyEpsLocKeepsEveryMatch) {
+  // At eps_loc <= 1e-10 over a unit extent, an uncapped grid's cell ids
+  // overflow int64 and the grid joins dropped (d, e).
+  const ObjectDatabase db = BuildWith({
+      {"a", 0.25, 0.75, {"cafe"}},
+      {"b", 0.25, 0.75, {"cafe"}},
+      {"c", 0.0, 0.0, {"bar"}},
+      {"c", 1.0, 1.0, {"bar"}},
+      {"d", 0.6, 0.3, {"park"}},
+      {"e", 0.6, 0.3, {"park"}},
+  });
+  for (const double eps_loc : {1e-10, 1e-12, 1e-15, 1e-300}) {
+    const STPSQuery query{eps_loc, 0.5, 0.3};
+    ASSERT_EQ(BruteForceSTPSJoin(db, query).size(), 2u) << eps_loc;
+    ExpectAllAlgorithmsAgree(db, query, "tiny eps_loc");
+    for (const JoinAlgorithm algorithm :
+         {JoinAlgorithm::kAuto, JoinAlgorithm::kSPPJF}) {
+      JoinOptions options;
+      options.algorithm = algorithm;
+      options.threads = 2;
+      EXPECT_TRUE(SameResults(RunSTPSJoin(db, query, options),
+                              BruteForceSTPSJoin(db, query)))
+          << JoinAlgorithmName(algorithm) << " on 2 threads / " << eps_loc;
+    }
+    const TopKQuery topk{eps_loc, 0.5, 5};
+    const auto expected = BruteForceTopK(db, topk);
+    for (const TopKAlgorithm algorithm :
+         {TopKAlgorithm::kF, TopKAlgorithm::kS, TopKAlgorithm::kP}) {
+      EXPECT_TRUE(
+          SameResults(RunTopKSTPSJoin(db, topk, algorithm), expected))
+          << TopKAlgorithmName(algorithm) << " / " << eps_loc;
+    }
+  }
+}
+
 TEST(EdgeCaseTest, TopKOnTinyDatabase) {
   const ObjectDatabase db = BuildWith({
       {"a", 0.1, 0.1, {"x"}},

@@ -1,8 +1,18 @@
 #include <algorithm>
+#include <cstdlib>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <ostream>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/sppj_d.h"
+#include "core/sppj_f.h"
 #include "core/user_grid.h"
 #include "test_util.h"
 #include "text/token_set.h"
@@ -131,37 +141,192 @@ TEST_P(LeafIndexTest, PPJDPairEqualsExactSigma) {
 INSTANTIATE_TEST_SUITE_P(Fanouts, LeafIndexTest,
                          ::testing::Values(4, 16, 64, 200));
 
-TEST(SpatioTextualGridIndexTest, TokenProbesFindIndexedUsers) {
-  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
-  const UserGrid grid(db, 0.05);
-  SpatioTextualGridIndex index;
-  // Index the first half of the users.
-  const UserId half = static_cast<UserId>(db.num_users() / 2);
-  for (UserId u = 0; u < half; ++u) {
-    index.AddUser(u, grid.UserCells(u));
+// The processing orders the drivers build the index with: user ids
+// (S-PPJ-F) and ascending |Du| with id ties (TOPK-S-PPJ-F/-P).
+std::vector<std::vector<UserId>> ProcessingOrders(const ObjectDatabase& db) {
+  std::vector<UserId> identity(db.num_users());
+  std::iota(identity.begin(), identity.end(), 0u);
+  std::vector<UserId> by_size = identity;
+  std::stable_sort(by_size.begin(), by_size.end(), [&db](UserId a, UserId b) {
+    return db.UserObjectCount(a) < db.UserObjectCount(b);
+  });
+  return {identity, by_size};
+}
+
+struct GridIndexCase {
+  uint64_t seed;
+  double eps_loc;
+};
+
+void PrintTo(const GridIndexCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << ", eps_loc " << c.eps_loc;
+}
+
+class SpatioTextualGridIndexTest
+    : public ::testing::TestWithParam<GridIndexCase> {
+ protected:
+  ObjectDatabase BuildDb() const {
+    RandomDbSpec spec;
+    spec.seed = GetParam().seed;
+    spec.min_tokens = 0;  // some objects carry no keyword at all
+    return BuildRandomDatabase(spec);
   }
-  // Every indexed (cell, token, user) is findable; none of the unindexed
-  // users appear anywhere.
-  for (UserId u = 0; u < db.num_users(); ++u) {
-    for (const UserPartition& cell : grid.UserCells(u)) {
-      EXPECT_TRUE(index.CellOccupied(cell.id) || u >= half);
-      const TokenVector tokens =
-          DistinctTokens(std::span<const ObjectRef>(cell.objects));
-      for (const TokenId t : tokens) {
-        const std::vector<UserId>* users = index.TokenUsers(cell.id, t);
-        if (u < half) {
-          ASSERT_NE(users, nullptr);
-          EXPECT_NE(std::find(users->begin(), users->end(), u),
-                    users->end());
-        } else if (users != nullptr) {
-          EXPECT_EQ(std::find(users->begin(), users->end(), u),
-                    users->end());
+};
+
+TEST_P(SpatioTextualGridIndexTest, ListsEqualNaiveReference) {
+  const ObjectDatabase db = BuildDb();
+  const UserGrid grid(db, GetParam().eps_loc);
+  for (const std::vector<UserId>& order : ProcessingOrders(db)) {
+    const SpatioTextualGridIndex index(grid, order);
+    // Reference: (cell, token) -> users and cell -> users, appended in
+    // processing order.
+    std::map<std::pair<CellId, TokenId>, std::vector<UserId>> token_users;
+    std::map<CellId, std::vector<UserId>> cell_users;
+    for (uint32_t r = 0; r < order.size(); ++r) {
+      ASSERT_EQ(index.Rank(order[r]), r);
+      for (const UserPartition& cell : grid.UserCells(order[r])) {
+        cell_users[cell.id].push_back(order[r]);
+        for (const TokenId t :
+             DistinctTokens(std::span<const ObjectRef>(cell.objects))) {
+          token_users[{cell.id, t}].push_back(order[r]);
         }
       }
     }
+    ASSERT_EQ(index.num_cells(), cell_users.size());
+    for (const auto& [cell, users] : cell_users) {
+      const uint32_t slot = index.FindCell(cell);
+      ASSERT_NE(slot, SpatioTextualGridIndex::kNoSlot);
+      const std::span<const UserId> got = index.CellUsers(slot);
+      EXPECT_EQ(std::vector<UserId>(got.begin(), got.end()), users);
+      // The cell's token run: exactly the reference's tokens of this
+      // cell, ascending, each with its user list.
+      std::vector<TokenId> expected_tokens;
+      for (auto it = token_users.lower_bound({cell, 0});
+           it != token_users.end() && it->first.first == cell; ++it) {
+        expected_tokens.push_back(it->first.second);
+      }
+      const std::span<const TokenId> tokens = index.CellTokens(slot);
+      ASSERT_EQ(std::vector<TokenId>(tokens.begin(), tokens.end()),
+                expected_tokens);
+      for (size_t i = 0; i < tokens.size(); ++i) {
+        const std::span<const UserId> entry = index.TokenUsers(slot, i);
+        EXPECT_EQ(std::vector<UserId>(entry.begin(), entry.end()),
+                  token_users.at({cell, tokens[i]}));
+      }
+    }
   }
-  EXPECT_EQ(index.TokenUsers(/*cell=*/-1234567, /*t=*/0), nullptr);
 }
+
+TEST(SpatioTextualGridIndexCellUsersTest, IncludeTokenlessObjects) {
+  // "b"'s only object in the shared cell carries no keyword: it has no
+  // token entry there, yet the spatial/textual breakdown must see it.
+  DatabaseBuilder builder;
+  const std::vector<std::string> cafe = {"cafe"};
+  const std::vector<std::string> none;
+  builder.AddObject("a", Point{0.25, 0.25}, std::span<const std::string>(cafe));
+  builder.AddObject("b", Point{0.26, 0.25}, std::span<const std::string>(none));
+  builder.AddObject("b", Point{0.9, 0.9}, std::span<const std::string>(cafe));
+  const ObjectDatabase db = std::move(builder).Build();
+  const UserGrid grid(db, 0.1);
+  const SpatioTextualGridIndex index(grid, std::vector<UserId>{0, 1});
+  const CellId shared = grid.geometry().CellOf(Point{0.25, 0.25});
+  const uint32_t slot = index.FindCell(shared);
+  ASSERT_NE(slot, SpatioTextualGridIndex::kNoSlot);
+  const std::span<const UserId> users = index.CellUsers(slot);
+  EXPECT_EQ(std::vector<UserId>(users.begin(), users.end()),
+            (std::vector<UserId>{0, 1}));
+  ASSERT_EQ(index.CellTokens(slot).size(), 1u);
+  const std::span<const UserId> cafe_users = index.TokenUsers(slot, 0);
+  EXPECT_EQ(std::vector<UserId>(cafe_users.begin(), cafe_users.end()),
+            (std::vector<UserId>{0}));
+  // The co-location count sees "a" from "b"; the token probe does not.
+  UserCandidateTable<CandidateCells> candidates;
+  candidates.BeginRound(db.num_users());
+  size_t colocated = 0;
+  CollectCandidates(grid.geometry(), index, grid.UserCells(1), 1,
+                    &candidates, nullptr, &colocated);
+  EXPECT_EQ(candidates.size(), 0u);
+  EXPECT_EQ(colocated, 1u);
+}
+
+TEST_P(SpatioTextualGridIndexTest, FindCellMissesAbsentIds) {
+  const ObjectDatabase db = BuildDb();
+  const UserGrid grid(db, GetParam().eps_loc);
+  const GridGeometry& geometry = grid.geometry();
+  const SpatioTextualGridIndex index(grid, ProcessingOrders(db)[0]);
+  constexpr uint32_t kNone = SpatioTextualGridIndex::kNoSlot;
+  EXPECT_EQ(index.FindCell(-1), kNone);
+  EXPECT_EQ(index.FindCell(-1234567), kNone);
+  EXPECT_EQ(index.FindCell(std::numeric_limits<CellId>::min()), kNone);
+  const CellId past = geometry.columns() * geometry.rows();
+  EXPECT_EQ(index.FindCell(past), kNone);
+  EXPECT_EQ(index.FindCell(past + 1), kNone);
+  EXPECT_EQ(index.FindCell(std::numeric_limits<CellId>::max()), kNone);
+  std::set<CellId> occupied;
+  for (UserId u = 0; u < db.num_users(); ++u) {
+    for (const UserPartition& cell : grid.UserCells(u)) {
+      occupied.insert(cell.id);
+    }
+  }
+  std::vector<CellId> neighbors;
+  for (const CellId cell : occupied) {
+    neighbors.clear();
+    geometry.AppendNeighborhood(cell, /*include_self=*/false, &neighbors);
+    for (const CellId n : neighbors) {
+      if (occupied.count(n) == 0) {
+        EXPECT_EQ(index.FindCell(n), kNone);
+      }
+    }
+  }
+}
+
+// S-PPJ-F's filter counters against a brute-force oracle over object
+// pairs: a filter returning extra candidates keeps results exact and only
+// costs time, so no result comparison would catch it.
+TEST_P(SpatioTextualGridIndexTest, FilterCountersEqualBruteForceCounts) {
+  const ObjectDatabase db = BuildDb();
+  const STPSQuery query{GetParam().eps_loc, 0.3, 0.3};
+  const GridGeometry geometry = UserGrid(db, query.eps_loc).geometry();
+  const auto adjacent = [&geometry](const STObject& a, const STObject& b) {
+    return std::abs(geometry.ColumnOf(a.loc) - geometry.ColumnOf(b.loc)) <=
+               1 &&
+           std::abs(geometry.RowOf(a.loc) - geometry.RowOf(b.loc)) <= 1;
+  };
+  uint64_t share_token = 0;  // v < u sharing a token in adjacent cells
+  uint64_t apart = 0;        // v < u with no objects in adjacent cells
+  for (UserId u = 0; u < db.num_users(); ++u) {
+    for (UserId v = 0; v < u; ++v) {
+      bool near = false;
+      bool shared = false;
+      for (const STObject& a : db.UserObjects(u)) {
+        for (const STObject& b : db.UserObjects(v)) {
+          if (!adjacent(a, b)) continue;
+          near = true;
+          for (const TokenId t : a.doc) {
+            if (std::find(b.doc.begin(), b.doc.end(), t) != b.doc.end()) {
+              shared = true;
+            }
+          }
+        }
+      }
+      share_token += shared ? 1 : 0;
+      apart += near ? 0 : 1;
+    }
+  }
+  JoinStats stats;
+  SPPJF(db, query, &stats);
+  EXPECT_EQ(stats.pairs_candidate, share_token);
+  EXPECT_EQ(stats.pairs_pruned_spatial, apart);
+  const uint64_t pairs = db.num_users() * (db.num_users() - 1) / 2;
+  EXPECT_EQ(stats.pairs_pruned_textual, pairs - apart - share_token);
+}
+
+// eps_loc 10 makes one cell cover the whole unit world.
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndCells, SpatioTextualGridIndexTest,
+    ::testing::Values(GridIndexCase{1, 0.05}, GridIndexCase{2, 0.02},
+                      GridIndexCase{3, 0.1}, GridIndexCase{4, 0.005},
+                      GridIndexCase{5, 10.0}));
 
 }  // namespace
 }  // namespace stps

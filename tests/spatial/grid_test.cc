@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -34,6 +35,30 @@ TEST(GridGeometryTest, HugeSparseDomainsDoNotOverflow) {
   const CellId c = grid.CellOf({-100.0, 40.0});
   EXPECT_GE(c, 0);
   EXPECT_EQ(grid.RowOf(c) * grid.columns() + grid.ColumnOf(c), c);
+}
+
+TEST(GridGeometryTest, TinyCellsKeepIdsInRange) {
+  // At eps_loc 1e-10 the unit square would need 1e10 x 1e10 cells, past
+  // int64; the grid caps each axis instead, and ids stay exact.
+  for (const double eps_loc : {1e-10, 1e-15, 1e-300}) {
+    const GridGeometry grid({0, 0, 1, 1}, eps_loc);
+    EXPECT_GE(grid.cell_size(), eps_loc);
+    const __int128 cells =
+        static_cast<__int128>(grid.columns()) * grid.rows();
+    EXPECT_LE(cells, static_cast<__int128>(
+                         std::numeric_limits<int64_t>::max()))
+        << eps_loc;
+    for (const Point p : {Point{0, 0}, Point{1, 0}, Point{0, 1}, Point{1, 1},
+                          Point{0.25, 0.75}, Point{0.6, 0.3}}) {
+      const CellId id = grid.CellOf(p);
+      EXPECT_GE(id, 0) << eps_loc;
+      EXPECT_EQ(grid.RowOf(id), grid.RowOf(p)) << eps_loc;
+      EXPECT_EQ(grid.ColumnOf(id), grid.ColumnOf(p)) << eps_loc;
+      std::vector<CellId> n;
+      grid.AppendNeighborhood(id, /*include_self=*/true, &n);
+      EXPECT_NE(std::find(n.begin(), n.end(), id), n.end()) << eps_loc;
+    }
+  }
 }
 
 TEST(GridGeometryTest, NeighborhoodInteriorHasNineCells) {
