@@ -51,18 +51,24 @@ python3 "$ROOT/scripts/compare_bench.py" \
     --require 'planner_cold_regret_vs_oracle<=2.0' \
     "$ROOT/BENCH_planner.json" "$ROOT/BENCH_planner.json"
 
-echo "=== perfbench: driver unit tests + sweep_sparse smoke ==="
+echo "=== perfbench: driver unit tests + sweep_sparse and serve_mixed smokes ==="
 # Builds the repo benchmark's driver against src/ (into .bench_build/)
 # and runs its output checks (every pass matches the first pass, kAuto
-# matches the explicit plan), untraced and traced; any non-zero exit
-# fails the stage. serve_mixed is left out: with --seconds 1 it records
-# no TOPK sample and run.py stops on an empty median.
+# matches the explicit plan; for serve_mixed the server, insert and
+# delta-publish paths), untraced and traced; any non-zero exit fails the
+# stage. serve_mixed runs 2 s: its schedule sends the first TOPK 250 ms
+# into each open-loop segment, a segment lasts --seconds/6, and a 1 s run
+# records no TOPK sample (run.py stops on the empty median).
 (cd "$ROOT" && \
      PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench/tests)
 (cd "$ROOT" && python3 perfbench/run.py --workload sweep_sparse --seed 1 \
      --seconds 1 --trace 0)
 (cd "$ROOT" && python3 perfbench/run.py --workload sweep_sparse --seed 1 \
      --seconds 1 --trace 1)
+(cd "$ROOT" && python3 perfbench/run.py --workload serve_mixed --seed 1 \
+     --seconds 2 --trace 0)
+(cd "$ROOT" && python3 perfbench/run.py --workload serve_mixed --seed 1 \
+     --seconds 2 --trace 1)
 
 echo "=== snapshot robustness: fuzz + mmap differential + io bench ==="
 # Bit-flip/truncation/trailing-garbage corruption fuzz, heap-vs-mapped

@@ -27,7 +27,6 @@ ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  WaitIdle();
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -71,16 +70,11 @@ void ThreadPool::RunTask(int slot, Task task) {
   tls_slot = saved;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (error) {
-      std::exception_ptr& sink =
-          task.batch != nullptr ? task.batch->error : detached_error_;
-      if (!sink) sink = error;
-    }
-    if (task.batch != nullptr) --task.batch->remaining;
-    --pending_;
+    if (error && !task.batch->error) task.batch->error = error;
+    --task.batch->remaining;
   }
-  // Completion may unblock a ParallelFor caller or WaitIdle; new-work
-  // notifications happen at enqueue time.
+  // Completion may unblock a ParallelFor caller; new-work notifications
+  // happen at enqueue time.
   cv_.notify_all();
 }
 
@@ -129,7 +123,6 @@ void ThreadPool::ParallelFor(
                &batch});
       ++queue;
       ++batch.remaining;
-      ++pending_;
     }
   }
   cv_.notify_all();
@@ -159,36 +152,6 @@ void ThreadPool::ParallelForEach(size_t begin, size_t end, size_t grain,
               [&fn](size_t lo, size_t hi, int worker) {
                 for (size_t i = lo; i < hi; ++i) fn(i, worker);
               });
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t queue = next_queue_++ % static_cast<size_t>(num_threads_);
-    queues_[queue].push_back(
-        Task{[fn = std::move(fn)](int) { fn(); }, nullptr});
-    ++pending_;
-  }
-  cv_.notify_all();
-}
-
-void ThreadPool::WaitIdle() {
-  const int caller = CallerSlot();
-  std::unique_lock<std::mutex> lock(mu_);
-  while (pending_ > 0) {
-    Task task;
-    if (TryPopLocked(caller, &task)) {
-      lock.unlock();
-      RunTask(caller, std::move(task));
-      lock.lock();
-      continue;
-    }
-    cv_.wait(lock);
-  }
-  std::exception_ptr error = detached_error_;
-  detached_error_ = nullptr;
-  lock.unlock();
-  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace stps

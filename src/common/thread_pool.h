@@ -8,7 +8,9 @@
 // workers drain the slow workers' deques) and blocks until every chunk has
 // run, with the calling thread itself executing and stealing chunks while
 // it waits. Because the caller participates, ParallelFor may be invoked
-// from inside a pool task (nested submission) without deadlock.
+// from inside a pool task (nested submission) without deadlock. The pool
+// is fork-join only: every task belongs to a ParallelFor batch that its
+// caller waits for, so no task outlives the call that queued it.
 //
 // Concurrency notes:
 //  * The deques are guarded by one pool mutex. Tasks are coarse chunks, so
@@ -19,8 +21,7 @@
 //    a pool per invocation, which satisfies this trivially.
 //  * Exceptions thrown by a task are captured and rethrown to the caller:
 //    ParallelFor rethrows the first chunk exception after the whole batch
-//    has finished; WaitIdle rethrows the first exception of detached
-//    Submit tasks. The stps library itself never throws (no-exceptions
+//    has finished. The stps library itself never throws (no-exceptions
 //    policy) — propagation exists for client callables and the tests.
 
 #ifndef STPS_COMMON_THREAD_POOL_H_
@@ -53,11 +54,12 @@ struct ParallelOptions {
 class ThreadPool {
  public:
   /// Spawns `num_threads - 1` background workers; the thread calling
-  /// ParallelFor / WaitIdle acts as the remaining worker (slot 0).
+  /// ParallelFor acts as the remaining worker (slot 0).
   /// Precondition: num_threads >= 1.
   explicit ThreadPool(int num_threads);
 
-  /// Drains every queued task, then joins the workers.
+  /// Joins the workers. No task is queued by then: each ParallelFor
+  /// returns only once its whole batch has run.
   ~ThreadPool();
 
   STPS_DISALLOW_COPY_AND_ASSIGN(ThreadPool);
@@ -78,14 +80,6 @@ class ThreadPool {
   void ParallelForEach(size_t begin, size_t end, size_t grain,
                        const std::function<void(size_t, int)>& fn);
 
-  /// Enqueues a detached task. Tasks may Submit further tasks.
-  void Submit(std::function<void()> fn);
-
-  /// Blocks until every queued task (including Submit tasks spawned by
-  /// other tasks) has completed, executing tasks itself while it waits.
-  /// Rethrows the first exception thrown by a detached task.
-  void WaitIdle();
-
  private:
   // Completion state of one ParallelFor call, on the caller's stack.
   struct Batch {
@@ -95,7 +89,7 @@ class ThreadPool {
 
   struct Task {
     std::function<void(int worker)> fn;
-    Batch* batch = nullptr;  // nullptr for detached Submit tasks
+    Batch* batch = nullptr;
   };
 
   // The slot the calling thread runs tasks under: its worker slot for
@@ -115,9 +109,6 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;                // new work & task completion
   std::vector<std::deque<Task>> queues_;      // one per slot
-  size_t pending_ = 0;                        // queued + running tasks
-  std::exception_ptr detached_error_;         // first Submit-task error
-  size_t next_queue_ = 0;                     // Submit round-robin cursor
   bool stop_ = false;
   std::vector<std::thread> workers_;          // slots 1 .. num_threads-1
 };

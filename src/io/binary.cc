@@ -13,6 +13,7 @@ namespace stps {
 
 namespace {
 
+// The legacy v2 stream; read forever, never written.
 constexpr char kMagic[8] = {'S', 'T', 'P', 'S', 'D', 'B', '0', '2'};
 // Legacy snapshots without the planner-stats block; still readable.
 constexpr char kMagicV1[8] = {'S', 'T', 'P', 'S', 'D', 'B', '0', '1'};
@@ -27,41 +28,6 @@ class Checksum {
 
  private:
   uint64_t hash_ = kFnvSeed;
-};
-
-class Writer {
- public:
-  explicit Writer(const std::string& path)
-      : out_(path, std::ios::binary | std::ios::trunc) {}
-
-  bool ok() const { return static_cast<bool>(out_); }
-
-  void Raw(const void* data, size_t size) {
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(size));
-    checksum_.Update(data, size);
-  }
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
-  // Writes the trailing checksum, then flushes and closes, folding any
-  // deferred write error (ENOSPC surfacing at flush/close time) into the
-  // stream state so ok() reflects it. A Status is only as good as this
-  // check: without it a full disk still returned OkStatus.
-  void Finish() {
-    const uint64_t sum = checksum_.value();
-    out_.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
-    out_.flush();
-    if (out_.is_open()) out_.close();  // close() sets failbit on failure
-  }
-
- private:
-  std::ofstream out_;
-  Checksum checksum_;
 };
 
 class Reader {
@@ -123,61 +89,6 @@ class Reader {
   uint64_t file_size_ = 0;
   bool failed_ = false;
 };
-
-Status WriteBinaryV2(const ObjectDatabase& db, const std::string& path) {
-  // The on-disk counts are 32-bit: refuse to write what would silently
-  // truncate (and decode to wrong data while passing its own checksum).
-  for (UserId u = 0; u < db.num_users(); ++u) {
-    if (!FitsU32(db.UserObjectCount(u))) {
-      return Status::InvalidArgument(
-          "user object count exceeds 32-bit snapshot field");
-    }
-  }
-  for (const STObject& o : db.AllObjects()) {
-    if (!FitsU32(o.doc.size())) {
-      return Status::InvalidArgument(
-          "object keyword count exceeds 32-bit snapshot field");
-    }
-  }
-  Writer writer(path);
-  if (!writer.ok()) {
-    return Status::IOError("cannot open for writing: " + path);
-  }
-  writer.Raw(kMagic, sizeof(kMagic));
-  writer.U64(db.num_users());
-  writer.U64(db.num_objects());
-  const Dictionary& dict = db.dictionary();
-  writer.U64(dict.size());
-  for (TokenId t = 0; t < dict.size(); ++t) {
-    writer.Str(dict.TokenString(t));
-  }
-  for (UserId u = 0; u < db.num_users(); ++u) {
-    writer.Str(db.UserName(u));
-    writer.U32(static_cast<uint32_t>(db.UserObjectCount(u)));
-  }
-  for (const STObject& o : db.AllObjects()) {
-    writer.F64(o.loc.x);
-    writer.F64(o.loc.y);
-    writer.F64(o.time);
-    writer.U32(static_cast<uint32_t>(o.doc.size()));
-    for (const TokenId t : o.doc) {
-      writer.U32(t);
-    }
-  }
-  // The planner-stats block (v2). Every built database carries one; a
-  // default-constructed (empty) database does not.
-  if (db.has_planner_stats()) {
-    writer.U32(1);
-    WriteStats(&writer, db.planner_stats());
-  } else {
-    writer.U32(0);
-  }
-  writer.Finish();
-  if (!writer.ok()) {
-    return Status::IOError("write failed: " + path);
-  }
-  return Status::OK();
-}
 
 Result<ObjectDatabase> ReadBinaryV2(Reader& reader, bool has_stats_block) {
   uint64_t user_count = 0, object_count = 0, token_count = 0;
@@ -269,12 +180,8 @@ Result<ObjectDatabase> ReadBinaryV2(Reader& reader, bool has_stats_block) {
 
 }  // namespace
 
-Status WriteBinary(const ObjectDatabase& db, const std::string& path,
-                   SnapshotFormat format) {
-  if (format == SnapshotFormat::kV3Arena) {
-    return SnapshotLoader::Write(db, path);
-  }
-  return WriteBinaryV2(db, path);
+Status WriteBinary(const ObjectDatabase& db, const std::string& path) {
+  return SnapshotLoader::Write(db, path);
 }
 
 Result<ObjectDatabase> ReadBinary(const std::string& path) {

@@ -1,28 +1,28 @@
-// Binary snapshot formats for ObjectDatabase — the fast-reload companion
-// to the human-readable TSV format.
+// Binary snapshots of an ObjectDatabase: the fast-reload companion to the
+// human-readable TSV format.
 //
-// Two formats share one API:
+// One writer, one format: WriteBinary writes v3 "STPSDB03", a
+// relocatable, 64-byte-aligned arena that *is* the in-memory layout: the
+// CSR token arena, SoA mirrors, per-user spans, dictionary and planner
+// stats as flat sections addressed by offsets (see io/format_v3.h for the
+// byte layout and DESIGN.md §10 for the design). It writes a temporary
+// file beside the target and renames it over the target only once the
+// new file is complete and synced, so a failed write leaves the old
+// snapshot intact and a reader that mapped the old file keeps it.
 //
-//  * v2 "STPSDB02" — the legacy sequential stream (dictionary, user
-//    table, objects, planner-stats block, trailing FNV-1a checksum).
-//    Readers rebuild the database through DatabaseBuilder and
-//    cross-check the recomputed planner stats against the serialized
-//    block. "STPSDB01" (no stats block) is still read.
+// ReadBinaryMapped opens a v3 file with mmap in O(1) and pages on demand;
+// ReadBinary reads it to heap and fully verifies every section checksum
+// plus the structural cross-checks (planner stats rebuild comparison).
+// Files written while the database still carried a sketch layer open
+// through every reader; their reserved sketch sections are checksummed
+// but never decoded.
 //
-//  * v3 "STPSDB03" — a relocatable, 64-byte-aligned arena that *is* the
-//    in-memory layout: the CSR token arena, SoA mirrors, per-user spans,
-//    dictionary and planner stats as flat sections addressed by offsets
-//    (see io/format_v3.h for the byte layout and DESIGN.md §10 for the
-//    design). ReadBinaryMapped opens a v3 file with mmap in O(1) and
-//    pages on demand; ReadBinary reads it to heap and fully verifies
-//    every section checksum plus the structural cross-checks (planner
-//    stats rebuild comparison). Files written while the database still
-//    carried a sketch layer open through every reader; their reserved
-//    sketch sections are checksummed but never decoded.
-//
-// WriteBinary defaults to v3; pass SnapshotFormat::kV2Stream for the
-// legacy stream. ReadBinary dispatches on the magic, so existing callers
-// read either format transparently.
+// ReadBinary dispatches on the magic and still reads the legacy formats,
+// which nothing writes any more: the v2 sequential stream "STPSDB02"
+// (dictionary, user table, objects, planner-stats block, trailing FNV-1a
+// checksum), rebuilt through DatabaseBuilder and cross-checked against
+// the serialized stats block, and "STPSDB01", the same stream without
+// the stats block. Writing such a database back migrates it to v3.
 
 #ifndef STPS_IO_BINARY_H_
 #define STPS_IO_BINARY_H_
@@ -36,14 +36,10 @@
 
 namespace stps {
 
-enum class SnapshotFormat {
-  kV2Stream,  // legacy sequential stream ("STPSDB02")
-  kV3Arena,   // mmap-able relocatable arena ("STPSDB03")
-};
-
-/// Writes `db` to `path` in the selected snapshot format.
-Status WriteBinary(const ObjectDatabase& db, const std::string& path,
-                   SnapshotFormat format = SnapshotFormat::kV3Arena);
+/// Writes `db` to `path` as a v3 snapshot, replacing any regular file
+/// there only once the new one is complete. Fails with InvalidArgument,
+/// creating nothing, when `path` exists and is not a regular file.
+Status WriteBinary(const ObjectDatabase& db, const std::string& path);
 
 /// Reads a database from a binary snapshot (any format version). This is
 /// the *verifying* path: every byte is read and checksummed, and the

@@ -53,9 +53,9 @@ inline uint64_t Fnv(const void* data, size_t size) {
   return FnvUpdate(kFnvSeed, data, size);
 }
 
-/// True when `v` survives a cast to the 32-bit on-disk field. The v2
-/// stream and the v3 CSR begin-arrays both store 32-bit counts; writers
-/// must check this instead of letting static_cast truncate silently.
+/// True when `v` survives a cast to the 32-bit on-disk field. The v3 CSR
+/// begin-arrays store 32-bit offsets; the writer must check this instead
+/// of letting static_cast truncate silently.
 inline bool FitsU32(uint64_t v) { return v <= 0xFFFFFFFFull; }
 
 /// Section identifiers. Values are stable on-disk contract; new kinds

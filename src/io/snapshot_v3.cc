@@ -9,9 +9,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -28,19 +31,125 @@ uint64_t RoundUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
 }
 
-// Sequential file writer tracking position and the running whole-file
-// FNV; deferred write errors (ENOSPC) fold into ok() at Finish.
-class StreamOut {
+// Replaces a file only once its successor is complete. The bytes go to a
+// temporary beside the target, which is synced and then renamed over it:
+// a reader that mapped the old file keeps the old inode, and a writer
+// that fails or dies leaves the target as it was. Destroying an
+// uncommitted ReplacementFile removes the temporary.
+class ReplacementFile {
  public:
-  explicit StreamOut(const std::string& path)
-      : out_(path, std::ios::binary | std::ios::trunc) {}
+  ReplacementFile() = default;
+  ~ReplacementFile() { Abandon(); }
 
-  bool ok() const { return static_cast<bool>(out_); }
+  STPS_DISALLOW_COPY_AND_ASSIGN(ReplacementFile);
+
+  // Creates the temporary. Refuses, creating nothing, a target that
+  // exists and is not a regular file (a device such as /dev/full must
+  // never be renamed over); a symlink is followed, so the rename replaces
+  // the file it names and the link survives. Like std::ofstream, a new
+  // file gets mode 0666 less the umask, and a replaced one keeps its mode.
+  Status Open(const std::string& path) {
+    target_ = path;
+    bool existed = false;
+    mode_t mode = 0;
+    struct stat st;
+    if (::stat(path.c_str(), &st) == 0) {
+      if (!S_ISREG(st.st_mode)) {
+        return Status::InvalidArgument("not a regular file: " + path);
+      }
+      char* resolved = ::realpath(path.c_str(), nullptr);
+      if (resolved == nullptr) {
+        return Status::IOError("cannot resolve: " + path);
+      }
+      target_ = resolved;
+      std::free(resolved);
+      existed = true;
+      mode = st.st_mode & 07777;
+    }
+    static std::atomic<uint64_t> sequence{0};
+    temp_ = target_ + ".tmp." + std::to_string(::getpid()) + "." +
+            std::to_string(sequence.fetch_add(1));
+    fd_ = ::open(temp_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                 0666);
+    if (fd_ < 0) {
+      temp_.clear();
+      return Status::IOError("cannot open for writing: " + path);
+    }
+    if (existed && ::fchmod(fd_, mode) != 0) {
+      Abandon();
+      return Status::IOError("cannot set mode: " + path);
+    }
+    return Status::OK();
+  }
+
+  int fd() const { return fd_; }
+
+  // Syncs and closes the temporary, renames it over the target, then
+  // syncs the directory so the rename itself is durable. `write_error`
+  // is the errno of a failed write (0 if none); any failure before the
+  // rename removes the temporary and leaves the target untouched.
+  Status Commit(int write_error) {
+    int error = write_error;
+    if (error == 0 && ::fsync(fd_) != 0) error = errno;
+    if (::close(fd_) != 0 && error == 0) error = errno;
+    fd_ = -1;
+    if (error == 0 && ::rename(temp_.c_str(), target_.c_str()) != 0) {
+      error = errno;
+    }
+    if (error != 0) {
+      Abandon();
+      return Status::IOError("write failed: " + target_ + ": " +
+                             std::strerror(error));
+    }
+    temp_.clear();
+    std::filesystem::path dir = std::filesystem::path(target_).parent_path();
+    if (dir.empty()) dir = ".";
+    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    const bool synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+    if (dir_fd >= 0) ::close(dir_fd);
+    if (!synced) {
+      return Status::IOError("cannot sync directory: " + dir.string());
+    }
+    return Status::OK();
+  }
+
+ private:
+  void Abandon() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+    if (!temp_.empty()) ::unlink(temp_.c_str());
+    temp_.clear();
+  }
+
+  std::string target_;
+  std::string temp_;
+  int fd_ = -1;
+};
+
+// Sequential writer over a file descriptor, tracking position and the
+// running whole-file FNV. The first failing write(2) latches its errno
+// (EFBIG, ENOSPC, ...) and later writes are skipped.
+class FdOut {
+ public:
+  explicit FdOut(int fd) : fd_(fd) {}
+
+  int error() const { return error_; }
 
   void Write(const void* p, size_t n) {
-    out_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-    fnv_ = FnvUpdate(fnv_, p, n);
     pos_ += n;
+    if (error_ != 0) return;
+    fnv_ = FnvUpdate(fnv_, p, n);
+    const char* bytes = static_cast<const char*>(p);
+    while (n > 0) {
+      const ssize_t written = ::write(fd_, bytes, n);
+      if (written < 0) {
+        if (errno == EINTR) continue;
+        error_ = errno;
+        return;
+      }
+      bytes += written;
+      n -= static_cast<size_t>(written);
+    }
   }
 
   void PadTo(uint64_t target) {
@@ -55,16 +164,9 @@ class StreamOut {
   uint64_t pos() const { return pos_; }
   uint64_t fnv() const { return fnv_; }
 
-  // Writes the trailing checksum (not part of the hashed range), then
-  // flushes and closes so ok() reflects deferred errors.
-  void Finish(uint64_t trailing) {
-    out_.write(reinterpret_cast<const char*>(&trailing), sizeof(trailing));
-    out_.flush();
-    if (out_.is_open()) out_.close();
-  }
-
  private:
-  std::ofstream out_;
+  int fd_;
+  int error_ = 0;
   uint64_t fnv_ = kFnvSeed;
   uint64_t pos_ = 0;
 };
@@ -238,7 +340,7 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
   const size_t n = db.num_objects();
   const size_t nu = db.num_users();
   // The CSR begin-arrays store 32-bit offsets: refuse to write a database
-  // they cannot index instead of truncating (mirrors the v2 check).
+  // they cannot index instead of truncating.
   if (!FitsU32(n) || !FitsU32(db.total_tokens())) {
     return Status::InvalidArgument(
         "database too large for 32-bit CSR offsets");
@@ -341,10 +443,10 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
   header.table_offset = table_offset;
   header.header_checksum = Fnv(&header, offsetof(HeaderV3, header_checksum));
 
-  StreamOut out(path);
-  if (!out.ok()) {
-    return Status::IOError("cannot open for writing: " + path);
-  }
+  ReplacementFile file;
+  const Status opened = file.Open(path);
+  if (!opened.ok()) return opened;
+  FdOut out(file.fd());
   out.Write(&header, sizeof(header));
   out.Write(entries.data(), static_cast<size_t>(table_bytes));
   const uint64_t table_sum =
@@ -355,11 +457,10 @@ Status SnapshotLoader::Write(const ObjectDatabase& db,
     out.Write(payloads[i].data, static_cast<size_t>(entries[i].size));
   }
   STPS_CHECK(out.pos() == file_size - sizeof(uint64_t));
-  out.Finish(out.fnv());
-  if (!out.ok()) {
-    return Status::IOError("write failed: " + path);
-  }
-  return Status::OK();
+  // The trailing checksum is not part of the hashed range.
+  const uint64_t file_sum = out.fnv();
+  out.Write(&file_sum, sizeof(file_sum));
+  return file.Commit(out.error());
 }
 
 Status SnapshotLoader::CheckHeader(const char* data, size_t size) {

@@ -1,9 +1,9 @@
-// Serialization of the PlannerStats block, shared by the v2 stream
-// (io/binary.cc) and the v3 arena section (io/snapshot_v3.cc). The field
-// order is on-disk contract for both formats: 3 dataset u64, 6 dataset
-// f64, 17 x 3 occupancy u64, extent_x/y f64, total_token_occurrences
-// u64, token_collision_rate / token_top_frequency f64 — 65 8-byte
-// fields (kPlannerStatsBlockSize).
+// Serialization of the PlannerStats block. The v3 arena writes and reads
+// it as a section (io/snapshot_v3.cc); the v2 stream reader decodes the
+// same block (io/binary.cc). The field order is on-disk contract for
+// both formats: 3 dataset u64, 6 dataset f64, 17 x 3 occupancy u64,
+// extent_x/y f64, total_token_occurrences u64, token_collision_rate /
+// token_top_frequency f64 — 65 8-byte fields (kPlannerStatsBlockSize).
 //
 // Writer needs:  void U64(uint64_t), void F64(double)
 // Reader needs:  bool U64(uint64_t*), bool F64(double*)

@@ -34,16 +34,4 @@ void Rect::ExpandToInclude(const Rect& other) {
   max_y = std::max(max_y, other.max_y);
 }
 
-double Rect::EnlargementFor(const Rect& other) const {
-  Rect merged = *this;
-  merged.ExpandToInclude(other);
-  return merged.Area() - Area();
-}
-
-double MinDistance(const Point& p, const Rect& r) {
-  const double dx = std::max({r.min_x - p.x, 0.0, p.x - r.max_x});
-  const double dy = std::max({r.min_y - p.y, 0.0, p.y - r.max_y});
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 }  // namespace stps

@@ -93,23 +93,11 @@ struct Rect {
             AddRoundUp(max_x, margin), AddRoundUp(max_y, margin)};
   }
 
-  /// Area; 0 for degenerate rectangles.
-  double Area() const {
-    if (IsEmpty()) return 0.0;
-    return (max_x - min_x) * (max_y - min_y);
-  }
-
-  /// Semi-perimeter growth if `other` were merged in (R-tree heuristic).
-  double EnlargementFor(const Rect& other) const;
-
   friend bool operator==(const Rect& a, const Rect& b) {
     return a.min_x == b.min_x && a.min_y == b.min_y && a.max_x == b.max_x &&
            a.max_y == b.max_y;
   }
 };
-
-/// Minimum distance from point `p` to rectangle `r` (0 when inside).
-double MinDistance(const Point& p, const Rect& r);
 
 }  // namespace stps
 

@@ -87,24 +87,6 @@ void QuadTree::Split(int32_t node_id) {
   }
 }
 
-void QuadTree::RangeQuery(const Rect& query,
-                          std::vector<uint32_t>* out) const {
-  if (size_ == 0) return;
-  std::vector<int32_t> stack = {0};
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (!node.region.Intersects(query)) continue;
-    if (node.is_leaf()) {
-      for (const Entry& e : node.entries) {
-        if (query.Contains(e.point)) out->push_back(e.value);
-      }
-    } else {
-      for (const int32_t child : node.children) stack.push_back(child);
-    }
-  }
-}
-
 std::vector<QuadTree::LeafRef> QuadTree::CollectLeaves() const {
   std::vector<LeafRef> out;
   CollectLeavesRecursive(0, &out);

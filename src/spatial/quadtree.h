@@ -51,9 +51,6 @@ class QuadTree {
   /// the boundary region (the tree never rejects data).
   void Insert(const Point& point, uint32_t value);
 
-  /// Appends the payloads of all points inside `query`.
-  void RangeQuery(const Rect& query, std::vector<uint32_t>* out) const;
-
   /// Number of stored points.
   size_t size() const { return size_; }
 

@@ -2,104 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace stps {
-
-namespace {
-
-// Guttman's quadratic split: pick the two rectangles wasting the most area
-// as seeds, then assign the rest by strongest preference. `rects` holds the
-// bounding rectangle of each item. Returns the item indices for each group.
-void QuadraticSplit(const std::vector<Rect>& rects, int min_fill,
-                    std::vector<uint32_t>* group_a,
-                    std::vector<uint32_t>* group_b) {
-  const size_t n = rects.size();
-  STPS_CHECK(n >= 2);
-  // Seed selection: maximise dead area of the pair's bounding box.
-  size_t seed_a = 0, seed_b = 1;
-  double worst = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      Rect merged = rects[i];
-      merged.ExpandToInclude(rects[j]);
-      const double dead = merged.Area() - rects[i].Area() - rects[j].Area();
-      if (dead > worst) {
-        worst = dead;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-  group_a->clear();
-  group_b->clear();
-  group_a->push_back(static_cast<uint32_t>(seed_a));
-  group_b->push_back(static_cast<uint32_t>(seed_b));
-  Rect mbr_a = rects[seed_a];
-  Rect mbr_b = rects[seed_b];
-
-  std::vector<bool> assigned(n, false);
-  assigned[seed_a] = assigned[seed_b] = true;
-  size_t remaining = n - 2;
-  while (remaining > 0) {
-    // Force-assign when one group must take everything left to reach the
-    // minimum fill.
-    if (group_a->size() + remaining == static_cast<size_t>(min_fill)) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!assigned[i]) {
-          group_a->push_back(static_cast<uint32_t>(i));
-          assigned[i] = true;
-        }
-      }
-      break;
-    }
-    if (group_b->size() + remaining == static_cast<size_t>(min_fill)) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!assigned[i]) {
-          group_b->push_back(static_cast<uint32_t>(i));
-          assigned[i] = true;
-        }
-      }
-      break;
-    }
-    // Pick the unassigned item with the greatest preference difference.
-    size_t best = n;
-    double best_diff = -1.0;
-    double best_da = 0.0, best_db = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (assigned[i]) continue;
-      const double da = mbr_a.EnlargementFor(rects[i]);
-      const double db = mbr_b.EnlargementFor(rects[i]);
-      const double diff = std::abs(da - db);
-      if (diff > best_diff) {
-        best_diff = diff;
-        best = i;
-        best_da = da;
-        best_db = db;
-      }
-    }
-    STPS_DCHECK(best < n);
-    bool to_a;
-    if (best_da != best_db) {
-      to_a = best_da < best_db;
-    } else if (mbr_a.Area() != mbr_b.Area()) {
-      to_a = mbr_a.Area() < mbr_b.Area();
-    } else {
-      to_a = group_a->size() <= group_b->size();
-    }
-    if (to_a) {
-      group_a->push_back(static_cast<uint32_t>(best));
-      mbr_a.ExpandToInclude(rects[best]);
-    } else {
-      group_b->push_back(static_cast<uint32_t>(best));
-      mbr_b.ExpandToInclude(rects[best]);
-    }
-    assigned[best] = true;
-    --remaining;
-  }
-}
-
-}  // namespace
 
 RTree::RTree(int fanout) : fanout_(fanout) { STPS_CHECK(fanout >= 2); }
 
@@ -199,207 +103,6 @@ RTree RTree::BulkLoad(std::vector<Entry> entries, int fanout) {
   return tree;
 }
 
-void RTree::Insert(const Point& point, uint32_t value) {
-  const Entry entry{point, value};
-  if (root_ < 0) {
-    root_ = NewNode(/*is_leaf=*/true);
-    nodes_[root_].entries.push_back(entry);
-    nodes_[root_].mbr = Rect::FromPoint(point);
-    size_ = 1;
-    return;
-  }
-  const int32_t sibling = InsertRecursive(root_, entry);
-  if (sibling >= 0) {
-    const int32_t new_root = NewNode(/*is_leaf=*/false);
-    nodes_[new_root].children = {root_, sibling};
-    nodes_[new_root].mbr = nodes_[root_].mbr;
-    nodes_[new_root].mbr.ExpandToInclude(nodes_[sibling].mbr);
-    root_ = new_root;
-  }
-  ++size_;
-}
-
-int32_t RTree::InsertRecursive(int32_t node_id, const Entry& entry) {
-  Node& node = nodes_[node_id];
-  node.mbr.ExpandToInclude(entry.point);
-  if (node.is_leaf) {
-    node.entries.push_back(entry);
-    if (node.entries.size() > static_cast<size_t>(fanout_)) {
-      return SplitLeaf(node_id);
-    }
-    return -1;
-  }
-  // Choose the child needing the least enlargement (ties: smaller area).
-  const Rect point_rect = Rect::FromPoint(entry.point);
-  int32_t best_child = -1;
-  double best_enlargement = std::numeric_limits<double>::infinity();
-  double best_area = std::numeric_limits<double>::infinity();
-  for (const int32_t child : node.children) {
-    const double enlargement = nodes_[child].mbr.EnlargementFor(point_rect);
-    const double area = nodes_[child].mbr.Area();
-    if (enlargement < best_enlargement ||
-        (enlargement == best_enlargement && area < best_area)) {
-      best_enlargement = enlargement;
-      best_area = area;
-      best_child = child;
-    }
-  }
-  const int32_t split = InsertRecursive(best_child, entry);
-  if (split >= 0) {
-    // Re-fetch: InsertRecursive may have reallocated nodes_.
-    Node& self = nodes_[node_id];
-    self.children.push_back(split);
-    self.mbr.ExpandToInclude(nodes_[split].mbr);
-    if (self.children.size() > static_cast<size_t>(fanout_)) {
-      return SplitInternal(node_id);
-    }
-  }
-  return -1;
-}
-
-int32_t RTree::SplitLeaf(int32_t node_id) {
-  const int min_fill = std::max(1, fanout_ * 2 / 5);
-  std::vector<Entry> items = std::move(nodes_[node_id].entries);
-  std::vector<Rect> rects;
-  rects.reserve(items.size());
-  for (const Entry& e : items) rects.push_back(Rect::FromPoint(e.point));
-  std::vector<uint32_t> group_a, group_b;
-  QuadraticSplit(rects, min_fill, &group_a, &group_b);
-
-  const int32_t sibling = NewNode(/*is_leaf=*/true);
-  Node& self = nodes_[node_id];
-  Node& other = nodes_[sibling];
-  self.entries.clear();
-  self.mbr = Rect::Empty();
-  for (const uint32_t i : group_a) {
-    self.entries.push_back(items[i]);
-    self.mbr.ExpandToInclude(items[i].point);
-  }
-  for (const uint32_t i : group_b) {
-    other.entries.push_back(items[i]);
-    other.mbr.ExpandToInclude(items[i].point);
-  }
-  return sibling;
-}
-
-int32_t RTree::SplitInternal(int32_t node_id) {
-  const int min_fill = std::max(1, fanout_ * 2 / 5);
-  std::vector<int32_t> items = std::move(nodes_[node_id].children);
-  std::vector<Rect> rects;
-  rects.reserve(items.size());
-  for (const int32_t child : items) rects.push_back(nodes_[child].mbr);
-  std::vector<uint32_t> group_a, group_b;
-  QuadraticSplit(rects, min_fill, &group_a, &group_b);
-
-  const int32_t sibling = NewNode(/*is_leaf=*/false);
-  Node& self = nodes_[node_id];
-  Node& other = nodes_[sibling];
-  self.children.clear();
-  self.mbr = Rect::Empty();
-  for (const uint32_t i : group_a) {
-    self.children.push_back(items[i]);
-    self.mbr.ExpandToInclude(rects[i]);
-  }
-  for (const uint32_t i : group_b) {
-    other.children.push_back(items[i]);
-    other.mbr.ExpandToInclude(rects[i]);
-  }
-  return sibling;
-}
-
-void RTree::RangeQuery(const Rect& query,
-                       std::vector<uint32_t>* out) const {
-  if (root_ < 0) return;
-  RangeQueryRecursive(root_, query, out);
-}
-
-void RTree::RangeQueryRecursive(int32_t node_id, const Rect& query,
-                                std::vector<uint32_t>* out) const {
-  const Node& node = nodes_[node_id];
-  if (!node.mbr.Intersects(query)) return;
-  if (node.is_leaf) {
-    for (const Entry& e : node.entries) {
-      if (query.Contains(e.point)) out->push_back(e.value);
-    }
-    return;
-  }
-  for (const int32_t child : node.children) {
-    RangeQueryRecursive(child, query, out);
-  }
-}
-
-void RTree::RadiusQuery(const Point& center, double eps,
-                        std::vector<uint32_t>* out) const {
-  if (root_ < 0) return;
-  // Filter box: rounds outward (common/predicates.h) so it provably covers
-  // the eps-disc; the exact WithinDistance check below decides membership.
-  const Rect box{SubRoundDown(center.x, eps), SubRoundDown(center.y, eps),
-                 AddRoundUp(center.x, eps), AddRoundUp(center.y, eps)};
-  std::vector<int32_t> stack = {root_};
-  while (!stack.empty()) {
-    const int32_t node_id = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[node_id];
-    if (!node.mbr.Intersects(box)) continue;
-    if (node.is_leaf) {
-      for (const Entry& e : node.entries) {
-        if (WithinDistance(e.point, center, eps)) out->push_back(e.value);
-      }
-    } else {
-      for (const int32_t child : node.children) stack.push_back(child);
-    }
-  }
-}
-
-bool RTree::NearestNeighbor(const Point& query, Point* nearest,
-                            uint32_t* value, double* distance) const {
-  if (root_ < 0 || size_ == 0) return false;
-  double best = std::numeric_limits<double>::infinity();
-  Point best_point;
-  uint32_t best_value = 0;
-  // Depth-first branch and bound: descend children in increasing MBR
-  // distance, prune subtrees farther than the current best.
-  struct Frame {
-    int32_t node;
-    double min_dist;
-  };
-  std::vector<Frame> stack = {{root_, MinDistance(query, nodes_[root_].mbr)}};
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    if (frame.min_dist >= best) continue;
-    const Node& node = nodes_[frame.node];
-    if (node.is_leaf) {
-      for (const Entry& e : node.entries) {
-        const double d = Distance(e.point, query);
-        if (d < best) {
-          best = d;
-          best_point = e.point;
-          best_value = e.value;
-        }
-      }
-      continue;
-    }
-    // Push children sorted so the closest is expanded first (it ends up
-    // on top of the stack).
-    std::vector<Frame> children;
-    children.reserve(node.children.size());
-    for (const int32_t child : node.children) {
-      const double d = MinDistance(query, nodes_[child].mbr);
-      if (d < best) children.push_back({child, d});
-    }
-    std::sort(children.begin(), children.end(),
-              [](const Frame& a, const Frame& b) {
-                return a.min_dist > b.min_dist;
-              });
-    stack.insert(stack.end(), children.begin(), children.end());
-  }
-  if (nearest != nullptr) *nearest = best_point;
-  if (value != nullptr) *value = best_value;
-  if (distance != nullptr) *distance = best;
-  return true;
-}
-
 int RTree::Height() const {
   if (root_ < 0) return 0;
   return DepthOfLeftmostLeaf();
@@ -437,11 +140,6 @@ void RTree::CollectLeavesRecursive(int32_t node_id,
   }
 }
 
-Rect RTree::RootMbr() const {
-  if (root_ < 0) return Rect::Empty();
-  return nodes_[root_].mbr;
-}
-
 bool RTree::CheckInvariants() const {
   if (root_ < 0) return size_ == 0;
   const int leaf_depth = DepthOfLeftmostLeaf();
@@ -455,13 +153,13 @@ bool RTree::CheckInvariants() const {
 bool RTree::CheckNode(int32_t node_id, int depth, int leaf_depth) const {
   const Node& node = nodes_[node_id];
   if (node.is_leaf) {
-    if (depth != leaf_depth) return false;
-    if (node_id != root_ && node.entries.empty()) return false;
-    if (node.entries.size() > static_cast<size_t>(fanout_)) return false;
+    if (depth != leaf_depth || node.entries.empty() ||
+        node.entries.size() > static_cast<size_t>(fanout_)) {
+      return false;
+    }
     Rect mbr = Rect::Empty();
     for (const Entry& e : node.entries) mbr.ExpandToInclude(e.point);
-    return node.entries.empty() ? node.mbr.IsEmpty() || size_ == 0
-                                : mbr == node.mbr;
+    return mbr == node.mbr;
   }
   if (node.children.empty() ||
       node.children.size() > static_cast<size_t>(fanout_)) {

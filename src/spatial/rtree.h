@@ -1,10 +1,10 @@
-// R-tree over 2-D points (Guttman, SIGMOD 1984) with STR bulk loading
-// (Leutenegger et al.) and quadratic-split insertion.
+// R-tree over 2-D points (Guttman, SIGMOD 1984) built by Sort-Tile-
+// Recursive bulk loading (Leutenegger et al.).
 //
-// S-PPJ-D treats the R-tree leaves as a data-driven partitioning of the
-// object database; the `fanout` parameter studied in the paper's Figure 6
-// is the node capacity. The tree also supports range queries, used by the
-// substrate tests and the examples.
+// S-PPJ-D and PPJ-R treat the R-tree leaves as a data-driven partitioning
+// of the object database; the `fanout` parameter studied in the paper's
+// Figure 6 is the node capacity. A tree is immutable once BulkLoad returns
+// it: its only reader is leaf enumeration.
 
 #ifndef STPS_SPATIAL_RTREE_H_
 #define STPS_SPATIAL_RTREE_H_
@@ -29,54 +29,28 @@ class RTree {
 
   /// A leaf node exposed to partition-based algorithms (S-PPJ-D).
   struct LeafRef {
-    /// Dense ordinal in left-to-right tree order; stable until the next
-    /// mutation of the tree.
+    /// Dense ordinal in left-to-right tree order.
     uint32_t ordinal = 0;
     Rect mbr;
     std::span<const Entry> entries;
   };
 
-  /// Creates an empty tree. Precondition: fanout >= 2.
-  explicit RTree(int fanout);
-
   RTree(RTree&&) = default;
   RTree& operator=(RTree&&) = default;
 
   /// Builds a tree over `entries` with Sort-Tile-Recursive packing.
+  /// Precondition: fanout >= 2.
   static RTree BulkLoad(std::vector<Entry> entries, int fanout);
-
-  /// Inserts one point (Guttman: least-enlargement descent, quadratic
-  /// split on overflow).
-  void Insert(const Point& point, uint32_t value);
-
-  /// Appends the payloads of all points inside `query` to `out`.
-  void RangeQuery(const Rect& query, std::vector<uint32_t>* out) const;
-
-  /// Appends the payloads of all points within distance `eps` of `center`.
-  void RadiusQuery(const Point& center, double eps,
-                   std::vector<uint32_t>* out) const;
-
-  /// Branch-and-bound nearest neighbour. Returns false on an empty tree;
-  /// otherwise stores the closest stored point (ties: first encountered)
-  /// and its payload/distance.
-  bool NearestNeighbor(const Point& query, Point* nearest, uint32_t* value,
-                       double* distance) const;
 
   /// Number of stored points.
   size_t size() const { return size_; }
-
-  /// Node capacity.
-  int fanout() const { return fanout_; }
 
   /// Tree height (0 for an empty tree, 1 when the root is a leaf).
   int Height() const;
 
   /// Collects all leaves in left-to-right order. The spans point into the
-  /// tree and are invalidated by Insert.
+  /// tree and live as long as it does.
   std::vector<LeafRef> CollectLeaves() const;
-
-  /// Root MBR; Rect::Empty() for an empty tree.
-  Rect RootMbr() const;
 
   /// Verifies structural invariants (MBR containment, fanout bounds,
   /// uniform leaf depth). Returns true when consistent. For tests.
@@ -90,15 +64,11 @@ class RTree {
     std::vector<Entry> entries;     // leaves
   };
 
+  explicit RTree(int fanout);
+
   int32_t NewNode(bool is_leaf);
-  // Returns the id of a newly created sibling when `node_id` split.
-  int32_t InsertRecursive(int32_t node_id, const Entry& entry);
-  int32_t SplitLeaf(int32_t node_id);
-  int32_t SplitInternal(int32_t node_id);
   void CollectLeavesRecursive(int32_t node_id,
                               std::vector<LeafRef>* out) const;
-  void RangeQueryRecursive(int32_t node_id, const Rect& query,
-                           std::vector<uint32_t>* out) const;
   bool CheckNode(int32_t node_id, int depth, int leaf_depth) const;
   int DepthOfLeftmostLeaf() const;
 

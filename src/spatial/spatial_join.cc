@@ -5,59 +5,6 @@
 
 namespace stps {
 
-namespace {
-
-// Sweep-line core shared by the self and cross joins. Emits every pair of
-// rectangles (a from A, b from B) that intersect; `emit` receives original
-// indices.
-template <typename Emit>
-void SweepJoin(const std::vector<Rect>& a, const std::vector<Rect>& b,
-               Emit emit) {
-  std::vector<uint32_t> order_a(a.size()), order_b(b.size());
-  std::iota(order_a.begin(), order_a.end(), 0u);
-  std::iota(order_b.begin(), order_b.end(), 0u);
-  const auto by_min_x = [](const std::vector<Rect>& rects) {
-    return [&rects](uint32_t l, uint32_t r) {
-      if (rects[l].min_x != rects[r].min_x)
-        return rects[l].min_x < rects[r].min_x;
-      return l < r;
-    };
-  };
-  std::sort(order_a.begin(), order_a.end(), by_min_x(a));
-  std::sort(order_b.begin(), order_b.end(), by_min_x(b));
-
-  // Classic sweep: advance over both sorted sequences; the rectangle with
-  // the smaller min_x scans the other side's rectangles that start before
-  // it ends.
-  size_t ia = 0, ib = 0;
-  while (ia < order_a.size() && ib < order_b.size()) {
-    const bool a_first = a[order_a[ia]].min_x <= b[order_b[ib]].min_x;
-    if (a_first) {
-      const Rect& ra = a[order_a[ia]];
-      for (size_t j = ib; j < order_b.size(); ++j) {
-        const Rect& rb = b[order_b[j]];
-        if (rb.min_x > ra.max_x) break;
-        if (ra.min_y <= rb.max_y && rb.min_y <= ra.max_y) {
-          emit(order_a[ia], order_b[j]);
-        }
-      }
-      ++ia;
-    } else {
-      const Rect& rb = b[order_b[ib]];
-      for (size_t j = ia; j < order_a.size(); ++j) {
-        const Rect& ra = a[order_a[j]];
-        if (ra.min_x > rb.max_x) break;
-        if (ra.min_y <= rb.max_y && rb.min_y <= ra.max_y) {
-          emit(order_a[j], order_b[ib]);
-        }
-      }
-      ++ib;
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<std::pair<uint32_t, uint32_t>> RectSelfJoin(
     const std::vector<Rect>& rects) {
   std::vector<std::pair<uint32_t, uint32_t>> result;
@@ -80,16 +27,6 @@ std::vector<std::pair<uint32_t, uint32_t>> RectSelfJoin(
       }
     }
   }
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
-std::vector<std::pair<uint32_t, uint32_t>> RectCrossJoin(
-    const std::vector<Rect>& left, const std::vector<Rect>& right) {
-  std::vector<std::pair<uint32_t, uint32_t>> result;
-  if (left.empty() || right.empty()) return result;
-  SweepJoin(left, right,
-            [&result](uint32_t i, uint32_t j) { result.emplace_back(i, j); });
   std::sort(result.begin(), result.end());
   return result;
 }

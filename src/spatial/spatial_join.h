@@ -1,9 +1,9 @@
 // Spatial joins over rectangle collections.
 //
-// S-PPJ-D precomputes which eps_loc-extended R-tree leaf MBRs intersect.
+// S-PPJ-D precomputes which eps_loc-extended leaf MBRs intersect.
 // RectSelfJoin provides that via a plane sweep (the classic optimisation
 // of Brinkhoff, Kriegel, Seeger, SIGMOD 1993 applied to a flat rectangle
-// list); RTreeLeafJoin wires it to a tree's leaves.
+// list); LeafAdjacency wires it to an R-tree's leaves for PPJ-R.
 
 #ifndef STPS_SPATIAL_SPATIAL_JOIN_H_
 #define STPS_SPATIAL_SPATIAL_JOIN_H_
@@ -21,10 +21,6 @@ namespace stps {
 /// sweep along the x axis. O(n log n + output), assuming bounded overlap.
 std::vector<std::pair<uint32_t, uint32_t>> RectSelfJoin(
     const std::vector<Rect>& rects);
-
-/// All index pairs (i, j) with left[i] intersecting right[j].
-std::vector<std::pair<uint32_t, uint32_t>> RectCrossJoin(
-    const std::vector<Rect>& left, const std::vector<Rect>& right);
 
 /// Adjacency lists over a tree's leaves: result[l] holds the ordinals of
 /// every leaf (including l itself) whose `margin`-extended MBR intersects

@@ -1,8 +1,16 @@
 #include "io/binary.h"
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -28,6 +36,44 @@ using testing_util::SameResults;
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
+
+std::string TestdataPath(const char* name) {
+  return std::string(STPS_TESTDATA_DIR) + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// A fresh directory under the test temp dir, removed with its contents.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string pattern = TempPath("stps_binary_XXXXXX");
+    if (::mkdtemp(pattern.data()) != nullptr) path_ = pattern;
+  }
+  ~ScratchDir() {
+    if (!path_.empty()) std::filesystem::remove_all(path_);
+  }
+
+  const std::string& path() const { return path_; }
+  std::string File(const char* name) const { return path_ + "/" + name; }
+
+  // The names in the directory, sorted.
+  std::vector<std::string> Entries() const {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(path_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+ private:
+  std::string path_;
+};
 
 void ExpectSameDatabases(const ObjectDatabase& a, const ObjectDatabase& b) {
   ASSERT_EQ(a.num_users(), b.num_users());
@@ -181,14 +227,37 @@ TEST(BinaryIoTest, DetectsBitFlips) {
   std::remove(path.c_str());
 }
 
-TEST(BinaryIoTest, RoundTripV2StreamFormat) {
-  const ObjectDatabase original = BuildRandomDatabase(RandomDbSpec{});
-  const std::string path = TempPath("roundtrip_v2.stpsdb");
-  ASSERT_TRUE(WriteBinary(original, path, SnapshotFormat::kV2Stream).ok());
-  Result<ObjectDatabase> loaded = ReadBinary(path);
+// Nothing writes the legacy formats any more; ReadBinary reads them
+// forever. testdata/legacy_v2.stpsdb is testdata/legacy_v3.tsv written by
+// the last v2 stream writer, and legacy_v1.stpsdb the same stream without
+// the stats block (magic STPSDB01). Each must load as the TSV database,
+// and writing it back must migrate it to a v3 file that reads back equal.
+void ExpectLegacySnapshotLoads(const char* name) {
+  Result<ObjectDatabase> tsv = ReadTsv(TestdataPath("legacy_v3.tsv"));
+  ASSERT_TRUE(tsv.ok()) << tsv.status().ToString();
+  Result<ObjectDatabase> loaded = ReadBinary(TestdataPath(name));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameDatabases(original, loaded.value());
-  std::remove(path.c_str());
+  ExpectSameDatabases(tsv.value(), loaded.value());
+  ASSERT_TRUE(loaded.value().has_planner_stats());
+  EXPECT_TRUE(loaded.value().planner_stats() == tsv.value().planner_stats());
+
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string migrated = dir.File("migrated.stpsdb");
+  ASSERT_TRUE(WriteBinary(loaded.value(), migrated).ok());
+  EXPECT_EQ(ReadFile(migrated).substr(0, sizeof(kMagicV3)),
+            std::string(kMagicV3, sizeof(kMagicV3)));
+  Result<ObjectDatabase> reloaded = ReadBinary(migrated);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ExpectSameDatabases(tsv.value(), reloaded.value());
+}
+
+TEST(BinaryIoTest, LegacyV2SnapshotLoads) {
+  ExpectLegacySnapshotLoads("legacy_v2.stpsdb");
+}
+
+TEST(BinaryIoTest, LegacyV1SnapshotLoads) {
+  ExpectLegacySnapshotLoads("legacy_v1.stpsdb");
 }
 
 TEST(BinaryIoTest, RoundTripMapped) {
@@ -232,13 +301,12 @@ V3Layout ReadV3Layout(const std::string& path) {
 // must still open it, answer exactly like the TSV, and write it back
 // without the reserved sections.
 TEST(BinaryIoTest, LegacySketchSnapshotStillLoads) {
-  const std::string dir = STPS_TESTDATA_DIR;
-  const std::string legacy = dir + "/legacy_v3.stpsdb";
+  const std::string legacy = TestdataPath("legacy_v3.stpsdb");
   const V3Layout legacy_layout = ReadV3Layout(legacy);
   ASSERT_NE(legacy_layout.flags & kFlagLegacySketch, 0u);
   ASSERT_EQ(legacy_layout.kinds.size(), 26u);
 
-  Result<ObjectDatabase> tsv = ReadTsv(dir + "/legacy_v3.tsv");
+  Result<ObjectDatabase> tsv = ReadTsv(TestdataPath("legacy_v3.tsv"));
   ASSERT_TRUE(tsv.ok()) << tsv.status().ToString();
   const STPSQuery join{0.05, 0.3, 0.3};
   const TopKQuery topk{0.05, 0.3, 5};
@@ -298,13 +366,10 @@ TEST(BinaryIoTest, LegacySketchSnapshotStillLoads) {
 TEST(BinaryIoTest, MappedOpenRejectsV2Stream) {
   // The mmap fast path is v3-only; a v2 stream must fail cleanly, not be
   // misparsed as an arena.
-  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
-  const std::string path = TempPath("v2_for_mmap.stpsdb");
-  ASSERT_TRUE(WriteBinary(db, path, SnapshotFormat::kV2Stream).ok());
-  const Result<ObjectDatabase> r = ReadBinaryMapped(path);
+  const Result<ObjectDatabase> r =
+      ReadBinaryMapped(TestdataPath("legacy_v2.stpsdb"));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 // Regression: a 32-byte file whose header claims 2^39 tokens used to be
@@ -333,20 +398,21 @@ TEST(BinaryIoTest, ImplausibleHeaderCountsRejectedBeforeAllocation) {
 // bytes appended after it — a concatenation of two snapshots read as the
 // first. Trailing data is corruption.
 TEST(BinaryIoTest, RejectsTrailingBytesAfterChecksum) {
-  const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
-  for (const SnapshotFormat format :
-       {SnapshotFormat::kV2Stream, SnapshotFormat::kV3Arena}) {
+  const std::string v3 = TempPath("trailing_v3.stpsdb");
+  ASSERT_TRUE(WriteBinary(BuildRandomDatabase(RandomDbSpec{}), v3).ok());
+  for (const std::string& source :
+       {TestdataPath("legacy_v2.stpsdb"), v3}) {
     const std::string path = TempPath("trailing.stpsdb");
-    ASSERT_TRUE(WriteBinary(db, path, format).ok());
     {
-      std::ofstream out(path, std::ios::binary | std::ios::app);
-      out << "extra";
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << ReadFile(source) << "extra";
     }
     const Result<ObjectDatabase> r = ReadBinary(path);
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    EXPECT_FALSE(r.ok()) << source;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << source;
     std::remove(path.c_str());
   }
+  std::remove(v3.c_str());
 }
 
 // The guard behind the silent-truncation bugfix: on-disk counts are
@@ -367,13 +433,143 @@ TEST(BinaryIoTest, WriteToUnwritablePathFails) {
   const Status missing = WriteBinary(
       db, std::string(::testing::TempDir()) + "/no_such_dir/out.stpsdb");
   EXPECT_FALSE(missing.ok());
-  // /dev/full (when present) accepts the open but fails every flush with
-  // ENOSPC — the disk-full case. Before the close-time stream check the
-  // writer reported OkStatus here and the caller shipped a torn file.
-  if (std::ifstream("/dev/full").good()) {
+  // A target that exists but is not a regular file is refused before
+  // anything is created: the writer renames its new file over the target,
+  // which must never replace a device node or a directory. (The disk-full
+  // case is FailedWriterLeavesOldSnapshot's EFBIG.)
+  struct stat before;
+  if (::stat("/dev/full", &before) == 0) {
     const Status full = WriteBinary(db, "/dev/full");
-    EXPECT_FALSE(full.ok());
+    EXPECT_EQ(full.code(), StatusCode::kInvalidArgument) << full.ToString();
+    struct stat after;
+    ASSERT_EQ(::stat("/dev/full", &after), 0);
+    EXPECT_TRUE(S_ISCHR(after.st_mode));
+    EXPECT_EQ(after.st_rdev, before.st_rdev);
   }
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  EXPECT_EQ(WriteBinary(db, dir.path()).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(dir.Entries().empty());
+}
+
+// Replacing a snapshot must not pull the file out from under a reader
+// that mapped it: the writer renames a complete new file over the old
+// one, so the mapping keeps the old inode. Writing in place truncated the
+// mapped pages and aborted the next join.
+TEST(BinaryIoTest, ReplacingASnapshotKeepsMappedReadersIntact) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.File("live.stpsdb");
+  const ObjectDatabase first =
+      GenerateDataset(PresetSpec(DatasetKind::kCheckinSparse, 200, 1));
+  ASSERT_TRUE(WriteBinary(first, path).ok());
+  Result<ObjectDatabase> mapped = ReadBinaryMapped(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const STPSQuery query = DefaultQuery(DatasetKind::kCheckinSparse);
+  JoinOptions options;
+  options.algorithm = JoinAlgorithm::kSPPJF;
+  const auto before = RunSTPSJoin(mapped.value(), query, options);
+  ASSERT_FALSE(before.empty());
+  for (const size_t users : {20, 200, 800}) {
+    const ObjectDatabase next =
+        GenerateDataset(PresetSpec(DatasetKind::kCheckinSparse, users, 2));
+    ASSERT_TRUE(WriteBinary(next, path).ok());
+    EXPECT_TRUE(SameResults(RunSTPSJoin(mapped.value(), query, options),
+                            before, /*tolerance=*/0.0))
+        << "after replacing with " << users << " users";
+    ExpectSameDatabases(first, mapped.value());
+    Result<ObjectDatabase> current = ReadBinary(path);
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    ExpectSameDatabases(next, current.value());
+  }
+  EXPECT_EQ(dir.Entries(), std::vector<std::string>{"live.stpsdb"});
+}
+
+// Runs WriteBinary(db, path) in a forked child whose file-size limit is
+// `limit` bytes and returns its wait status. The limit kills the child
+// with SIGXFSZ, or, with `ignore_sigxfsz`, fails its write with EFBIG;
+// the child then exits 0 if WriteBinary reported the error, 1 if not.
+int WriteInLimitedChild(const ObjectDatabase& db, const std::string& path,
+                        rlim_t limit, bool ignore_sigxfsz) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    if (ignore_sigxfsz) ::signal(SIGXFSZ, SIG_IGN);
+    const struct rlimit fsize = {limit, limit};
+    if (::setrlimit(RLIMIT_FSIZE, &fsize) != 0) ::_exit(2);
+    ::_exit(WriteBinary(db, path).ok() ? 1 : 0);
+  }
+  int status = -1;
+  if (pid > 0) ::waitpid(pid, &status, 0);
+  return status;
+}
+
+// A writer that dies or fails halfway must leave the old snapshot whole:
+// writing in place left a truncated file that no reader accepts.
+TEST(BinaryIoTest, KilledWriterLeavesOldSnapshot) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.File("snapshot.stpsdb");
+  const ObjectDatabase original = BuildRandomDatabase(RandomDbSpec{});
+  ASSERT_TRUE(WriteBinary(original, path).ok());
+  const rlim_t limit = std::filesystem::file_size(path) / 2;
+  const ObjectDatabase bigger =
+      GenerateDataset(PresetSpec(DatasetKind::kGeoTextLike, 40, 3));
+
+  const int status = WriteInLimitedChild(bigger, path, limit,
+                                         /*ignore_sigxfsz=*/false);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "wait status " << status;
+  EXPECT_EQ(WTERMSIG(status), SIGXFSZ);
+  Result<ObjectDatabase> loaded = ReadBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameDatabases(original, loaded.value());
+}
+
+TEST(BinaryIoTest, FailedWriterLeavesOldSnapshot) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.File("snapshot.stpsdb");
+  const ObjectDatabase original = BuildRandomDatabase(RandomDbSpec{});
+  ASSERT_TRUE(WriteBinary(original, path).ok());
+  const rlim_t limit = std::filesystem::file_size(path) / 2;
+  const ObjectDatabase bigger =
+      GenerateDataset(PresetSpec(DatasetKind::kGeoTextLike, 40, 3));
+
+  const int status = WriteInLimitedChild(bigger, path, limit,
+                                         /*ignore_sigxfsz=*/true);
+  ASSERT_TRUE(WIFEXITED(status)) << "wait status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "WriteBinary ignored EFBIG";
+  Result<ObjectDatabase> loaded = ReadBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameDatabases(original, loaded.value());
+  // The failed write removed its temporary file.
+  EXPECT_EQ(dir.Entries(), std::vector<std::string>{"snapshot.stpsdb"});
+}
+
+// Writing through a symlink replaces the file it names; the link stays a
+// link, and the replaced file keeps its mode.
+TEST(BinaryIoTest, WriteThroughSymlinkReplacesItsTarget) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string real = dir.File("real.stpsdb");
+  const std::string link = dir.File("link.stpsdb");
+  ASSERT_TRUE(WriteBinary(BuildRandomDatabase(RandomDbSpec{}), real).ok());
+  ASSERT_EQ(::chmod(real.c_str(), 0640), 0);
+  ASSERT_EQ(::symlink("real.stpsdb", link.c_str()), 0);
+  RandomDbSpec spec;
+  spec.seed = 5;
+  const ObjectDatabase next = BuildRandomDatabase(spec);
+  ASSERT_TRUE(WriteBinary(next, link).ok());
+
+  struct stat st;
+  ASSERT_EQ(::lstat(link.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISLNK(st.st_mode));
+  ASSERT_EQ(::stat(real.c_str(), &st), 0);
+  EXPECT_EQ(st.st_mode & 07777, 0640u);
+  Result<ObjectDatabase> loaded = ReadBinary(real);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameDatabases(next, loaded.value());
+  EXPECT_EQ(dir.Entries(),
+            (std::vector<std::string>{"link.stpsdb", "real.stpsdb"}));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Snapshot corruption fuzz: every single-bit flip and every truncation of
 // a valid snapshot (stride-sampled across the whole file) must come back
 // as a Status error from the verifying readers — never a crash, never a
-// silently wrong database. Covers both on-disk formats (v2 stream and v3
-// arena) and the mmap open path.
+// silently wrong database. Covers both on-disk formats (v3 arena, and the
+// legacy v2 stream through its committed fixture) and the mmap open path.
 
 #include <algorithm>
 #include <cstdio>
@@ -37,14 +37,14 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// Writes a snapshot of a small random database and returns its bytes.
-std::string SnapshotBytes(SnapshotFormat format, const char* name) {
+// Writes a v3 snapshot of a small random database and returns its bytes.
+std::string SnapshotBytes(const char* name) {
   RandomDbSpec spec;
   spec.num_users = 12;
   spec.seed = 99;
   const ObjectDatabase db = BuildRandomDatabase(spec);
   const std::string path = TempPath(name);
-  EXPECT_TRUE(WriteBinary(db, path, format).ok());
+  EXPECT_TRUE(WriteBinary(db, path).ok());
   std::string bytes = ReadFile(path);
   EXPECT_GT(bytes.size(), 0u);
   std::remove(path.c_str());
@@ -110,25 +110,29 @@ void FuzzTrailingGarbage(const std::string& bytes) {
 }
 
 TEST(SnapshotFuzzTest, V3BitFlipsRejected) {
-  FuzzBitFlips(SnapshotBytes(SnapshotFormat::kV3Arena, "fuzz3.stpsdb"));
+  FuzzBitFlips(SnapshotBytes("fuzz3.stpsdb"));
 }
 
 TEST(SnapshotFuzzTest, V3TruncationsRejected) {
-  FuzzTruncations(SnapshotBytes(SnapshotFormat::kV3Arena, "fuzz3t.stpsdb"));
+  FuzzTruncations(SnapshotBytes("fuzz3t.stpsdb"));
 }
 
 TEST(SnapshotFuzzTest, V3TrailingGarbageRejected) {
-  FuzzTrailingGarbage(
-      SnapshotBytes(SnapshotFormat::kV3Arena, "fuzz3g.stpsdb"));
+  FuzzTrailingGarbage(SnapshotBytes("fuzz3g.stpsdb"));
+}
+
+// A committed fixture's bytes (see binary_test for how each was made).
+std::string FixtureBytes(const char* name) {
+  const std::string bytes =
+      ReadFile(std::string(STPS_TESTDATA_DIR) + "/" + name);
+  EXPECT_GT(bytes.size(), sizeof(HeaderV3));
+  return bytes;
 }
 
 // A v3 file written while databases still carried the per-user sketch
 // layer (flags bit 1, reserved sections 16-26; see binary_test).
 std::string LegacySnapshotBytes() {
-  const std::string bytes =
-      ReadFile(std::string(STPS_TESTDATA_DIR) + "/legacy_v3.stpsdb");
-  EXPECT_GT(bytes.size(), sizeof(HeaderV3));
-  return bytes;
+  return FixtureBytes("legacy_v3.stpsdb");
 }
 
 TEST(SnapshotFuzzTest, LegacyV3BitFlipsRejected) {
@@ -159,17 +163,19 @@ TEST(SnapshotFuzzTest, LegacyV3TruncationsRejected) {
   FuzzTruncations(LegacySnapshotBytes());
 }
 
+// The v2 stream is read forever but no longer written: its cases mutate
+// the committed fixture. The sampling strides scale with the file, so a
+// small fixture still gets ~80 flips and ~32 cuts.
 TEST(SnapshotFuzzTest, V2BitFlipsRejected) {
-  FuzzBitFlips(SnapshotBytes(SnapshotFormat::kV2Stream, "fuzz2.stpsdb"));
+  FuzzBitFlips(FixtureBytes("legacy_v2.stpsdb"));
 }
 
 TEST(SnapshotFuzzTest, V2TruncationsRejected) {
-  FuzzTruncations(SnapshotBytes(SnapshotFormat::kV2Stream, "fuzz2t.stpsdb"));
+  FuzzTruncations(FixtureBytes("legacy_v2.stpsdb"));
 }
 
 TEST(SnapshotFuzzTest, V2TrailingGarbageRejected) {
-  FuzzTrailingGarbage(
-      SnapshotBytes(SnapshotFormat::kV2Stream, "fuzz2g.stpsdb"));
+  FuzzTrailingGarbage(FixtureBytes("legacy_v2.stpsdb"));
 }
 
 }  // namespace

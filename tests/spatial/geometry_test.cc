@@ -18,7 +18,6 @@ TEST(PointTest, DistanceAndWithin) {
 TEST(RectTest, EmptySentinel) {
   const Rect e = Rect::Empty();
   EXPECT_TRUE(e.IsEmpty());
-  EXPECT_DOUBLE_EQ(e.Area(), 0.0);
   Rect r = Rect::Empty();
   r.ExpandToInclude(Point{1, 2});
   EXPECT_FALSE(r.IsEmpty());
@@ -61,21 +60,6 @@ TEST(RectTest, ExtendedGrowsAllSides) {
   EXPECT_LE(e.min_y, 2.0 - 0.5);
   EXPECT_GE(e.max_x, 3.0 + 0.5);
   EXPECT_GE(e.max_y, 4.0 + 0.5);
-}
-
-TEST(RectTest, AreaAndEnlargement) {
-  const Rect r{0, 0, 2, 3};
-  EXPECT_DOUBLE_EQ(r.Area(), 6.0);
-  EXPECT_DOUBLE_EQ(r.EnlargementFor({0, 0, 2, 3}), 0.0);
-  EXPECT_DOUBLE_EQ(r.EnlargementFor({0, 0, 4, 3}), 6.0);
-}
-
-TEST(MinDistanceTest, InsideOnEdgeAndOutside) {
-  const Rect r{0, 0, 2, 2};
-  EXPECT_DOUBLE_EQ(MinDistance({1, 1}, r), 0.0);
-  EXPECT_DOUBLE_EQ(MinDistance({2, 1}, r), 0.0);
-  EXPECT_DOUBLE_EQ(MinDistance({5, 1}, r), 3.0);
-  EXPECT_DOUBLE_EQ(MinDistance({5, 6}, r), 5.0);  // 3-4-5 corner
 }
 
 }  // namespace

@@ -18,19 +18,34 @@ std::vector<QuadTree::Entry> RandomEntries(Rng& rng, size_t count) {
   return entries;
 }
 
+// Every stored entry, gathered from the leaves (each leaf entry must lie
+// in its leaf's region and tight MBR), sorted by payload.
+std::vector<QuadTree::Entry> LeafEntries(const QuadTree& tree) {
+  std::vector<QuadTree::Entry> out;
+  for (const auto& leaf : tree.CollectLeaves()) {
+    for (const auto& e : leaf.entries) {
+      EXPECT_TRUE(leaf.region.Contains(e.point));
+      EXPECT_TRUE(leaf.mbr.Contains(e.point));
+      out.push_back(e);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const QuadTree::Entry& a, const QuadTree::Entry& b) {
+              return a.value < b.value;
+            });
+  return out;
+}
+
 TEST(QuadTreeTest, EmptyTree) {
   const QuadTree tree({0, 0, 1, 1}, 4);
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree.CheckInvariants());
-  std::vector<uint32_t> hits;
-  tree.RangeQuery({0, 0, 1, 1}, &hits);
-  EXPECT_TRUE(hits.empty());
   EXPECT_TRUE(tree.CollectLeaves().empty());
 }
 
 class QuadTreeCapacityTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(QuadTreeCapacityTest, BuildInvariantsAndRangeQueries) {
+TEST_P(QuadTreeCapacityTest, BuildInvariantsAndLeafCoverage) {
   const int capacity = GetParam();
   Rng rng(51);
   const auto entries = RandomEntries(rng, 800);
@@ -44,17 +59,12 @@ TEST_P(QuadTreeCapacityTest, BuildInvariantsAndRangeQueries) {
     total += leaf.entries.size();
   }
   EXPECT_EQ(total, entries.size());
-  for (int q = 0; q < 40; ++q) {
-    const double x = rng.Uniform(0, 90), y = rng.Uniform(0, 90);
-    const Rect query{x, y, x + rng.Uniform(0, 25), y + rng.Uniform(0, 25)};
-    std::vector<uint32_t> hits;
-    tree.RangeQuery(query, &hits);
-    std::sort(hits.begin(), hits.end());
-    std::vector<uint32_t> expected;
-    for (const auto& e : entries) {
-      if (query.Contains(e.point)) expected.push_back(e.value);
-    }
-    EXPECT_EQ(hits, expected);
+  // Every point is stored exactly once, unmoved.
+  const auto stored = LeafEntries(tree);
+  ASSERT_EQ(stored.size(), entries.size());
+  for (uint32_t i = 0; i < stored.size(); ++i) {
+    EXPECT_EQ(stored[i].value, i);
+    EXPECT_EQ(stored[i].point, entries[i].point);
   }
 }
 
@@ -68,19 +78,22 @@ TEST(QuadTreeTest, DuplicatePointsStopSplittingAtMaxDepth) {
   }
   EXPECT_EQ(tree.size(), 50u);
   EXPECT_TRUE(tree.CheckInvariants());
-  std::vector<uint32_t> hits;
-  tree.RangeQuery({0.25, 0.25, 0.25, 0.25}, &hits);
-  EXPECT_EQ(hits.size(), 50u);
+  const auto stored = LeafEntries(tree);
+  ASSERT_EQ(stored.size(), 50u);
+  for (uint32_t i = 0; i < stored.size(); ++i) {
+    EXPECT_EQ(stored[i].value, i);
+    EXPECT_EQ(stored[i].point, (Point{0.25, 0.25}));
+  }
 }
 
 TEST(QuadTreeTest, OutOfBoundsPointsAreClampedNotLost) {
   QuadTree tree({0, 0, 1, 1}, 4);
   tree.Insert({5.0, -3.0}, 7);
   EXPECT_EQ(tree.size(), 1u);
-  std::vector<uint32_t> hits;
-  tree.RangeQuery({0, 0, 1, 1}, &hits);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 7u);
+  const auto stored = LeafEntries(tree);
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored[0].value, 7u);
+  EXPECT_EQ(stored[0].point, (Point{1.0, 0.0}));  // clamped onto the root
 }
 
 TEST(QuadTreeTest, LeavesAreDisjointRegions) {
@@ -94,7 +107,7 @@ TEST(QuadTreeTest, LeavesAreDisjointRegions) {
       // Quadrant interiors never overlap (boundaries may touch).
       const Rect inter = leaves[i].region.Intersection(leaves[j].region);
       if (!inter.IsEmpty()) {
-        EXPECT_DOUBLE_EQ(inter.Area(), 0.0)
+        EXPECT_TRUE(inter.min_x == inter.max_x || inter.min_y == inter.max_y)
             << "leaves " << i << " and " << j << " overlap";
       }
     }

@@ -1,8 +1,5 @@
 #include "spatial/rtree.h"
 
-#include <algorithm>
-#include <limits>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,127 +17,69 @@ std::vector<RTree::Entry> RandomEntries(Rng& rng, size_t count) {
   return entries;
 }
 
-std::vector<uint32_t> BruteRange(const std::vector<RTree::Entry>& entries,
-                                 const Rect& query) {
-  std::vector<uint32_t> out;
-  for (const auto& e : entries) {
-    if (query.Contains(e.point)) out.push_back(e.value);
+// How many times each payload in [0, count) appears across the leaves.
+std::vector<int> LeafMultiplicity(const RTree& tree, size_t count) {
+  std::vector<int> seen(count, 0);
+  for (const auto& leaf : tree.CollectLeaves()) {
+    for (const auto& e : leaf.entries) {
+      EXPECT_LT(e.value, count);
+      if (e.value < count) ++seen[e.value];
+    }
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return seen;
 }
 
 TEST(RTreeTest, EmptyTree) {
-  const RTree tree(8);
+  const RTree tree = RTree::BulkLoad({}, 8);
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.Height(), 0);
   EXPECT_TRUE(tree.CheckInvariants());
-  std::vector<uint32_t> hits;
-  tree.RangeQuery({0, 0, 1, 1}, &hits);
-  EXPECT_TRUE(hits.empty());
   EXPECT_TRUE(tree.CollectLeaves().empty());
 }
 
 class RTreeFanoutTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(RTreeFanoutTest, BulkLoadInvariantsAndQueries) {
+TEST_P(RTreeFanoutTest, BulkLoadInvariantsAndLeaves) {
   const int fanout = GetParam();
   Rng rng(42);
   const auto entries = RandomEntries(rng, 1000);
   const RTree tree = RTree::BulkLoad(entries, fanout);
   EXPECT_EQ(tree.size(), entries.size());
   EXPECT_TRUE(tree.CheckInvariants());
-  // Leaves partition the data.
+  // Leaves partition the data: every value sits in exactly one leaf, at
+  // the point it was loaded with.
   size_t total = 0;
   for (const auto& leaf : tree.CollectLeaves()) {
     EXPECT_LE(leaf.entries.size(), static_cast<size_t>(fanout));
+    for (const auto& e : leaf.entries) {
+      EXPECT_EQ(e.point, entries[e.value].point);
+    }
     total += leaf.entries.size();
   }
   EXPECT_EQ(total, entries.size());
-  // Random range queries match brute force.
-  for (int q = 0; q < 50; ++q) {
-    const double x = rng.Uniform(0, 90), y = rng.Uniform(0, 90);
-    const Rect query{x, y, x + rng.Uniform(0, 20), y + rng.Uniform(0, 20)};
-    std::vector<uint32_t> hits;
-    tree.RangeQuery(query, &hits);
-    std::sort(hits.begin(), hits.end());
-    EXPECT_EQ(hits, BruteRange(entries, query));
+  const std::vector<int> multiplicity = LeafMultiplicity(tree, entries.size());
+  for (size_t v = 0; v < entries.size(); ++v) {
+    EXPECT_EQ(multiplicity[v], 1) << "value " << v;
   }
-}
-
-TEST_P(RTreeFanoutTest, InsertionInvariantsAndQueries) {
-  const int fanout = GetParam();
-  Rng rng(43);
-  const auto entries = RandomEntries(rng, 600);
-  RTree tree(fanout);
-  for (const auto& e : entries) {
-    tree.Insert(e.point, e.value);
-  }
-  EXPECT_EQ(tree.size(), entries.size());
-  EXPECT_TRUE(tree.CheckInvariants());
-  for (int q = 0; q < 30; ++q) {
-    const double x = rng.Uniform(0, 90), y = rng.Uniform(0, 90);
-    const Rect query{x, y, x + rng.Uniform(0, 25), y + rng.Uniform(0, 25)};
-    std::vector<uint32_t> hits;
-    tree.RangeQuery(query, &hits);
-    std::sort(hits.begin(), hits.end());
-    EXPECT_EQ(hits, BruteRange(entries, query));
-  }
-}
-
-TEST_P(RTreeFanoutTest, MixedBulkLoadThenInsert) {
-  const int fanout = GetParam();
-  Rng rng(44);
-  auto initial = RandomEntries(rng, 400);
-  RTree tree = RTree::BulkLoad(initial, fanout);
-  const auto extra = RandomEntries(rng, 200);
-  for (uint32_t i = 0; i < extra.size(); ++i) {
-    tree.Insert(extra[i].point, 1000 + i);
-  }
-  EXPECT_EQ(tree.size(), 600u);
-  EXPECT_TRUE(tree.CheckInvariants());
-  auto all = initial;
-  for (uint32_t i = 0; i < extra.size(); ++i) {
-    all.push_back({extra[i].point, 1000 + i});
-  }
-  const Rect query{20, 20, 60, 60};
-  std::vector<uint32_t> hits;
-  tree.RangeQuery(query, &hits);
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, BruteRange(all, query));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, RTreeFanoutTest,
                          ::testing::Values(2, 4, 8, 16, 50, 128));
 
-TEST(RTreeTest, RadiusQueryMatchesBruteForce) {
-  Rng rng(45);
-  const auto entries = RandomEntries(rng, 500);
-  const RTree tree = RTree::BulkLoad(entries, 16);
-  for (int q = 0; q < 30; ++q) {
-    const Point c{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    const double eps = rng.Uniform(1, 15);
-    std::vector<uint32_t> hits;
-    tree.RadiusQuery(c, eps, &hits);
-    std::sort(hits.begin(), hits.end());
-    std::vector<uint32_t> expected;
-    for (const auto& e : entries) {
-      if (WithinDistance(e.point, c, eps)) expected.push_back(e.value);
-    }
-    EXPECT_EQ(hits, expected);
-  }
-}
-
+// S-PPJ-D partitions objects by their leaf; users who check in at the same
+// place must all land in some leaf, none dropped or merged away.
 TEST(RTreeTest, DuplicatePointsAreAllRetained) {
-  RTree tree(4);
-  for (uint32_t i = 0; i < 20; ++i) {
-    tree.Insert({1.0, 1.0}, i);
-  }
+  std::vector<RTree::Entry> entries;
+  for (uint32_t i = 0; i < 20; ++i) entries.push_back({{1.0, 1.0}, i});
+  const RTree tree = RTree::BulkLoad(entries, 4);
   EXPECT_EQ(tree.size(), 20u);
   EXPECT_TRUE(tree.CheckInvariants());
-  std::vector<uint32_t> hits;
-  tree.RangeQuery({1, 1, 1, 1}, &hits);
-  EXPECT_EQ(hits.size(), 20u);
+  for (const int multiplicity : LeafMultiplicity(tree, entries.size())) {
+    EXPECT_EQ(multiplicity, 1);
+  }
+  for (const auto& leaf : tree.CollectLeaves()) {
+    EXPECT_EQ(leaf.mbr, Rect::FromPoint({1.0, 1.0}));
+  }
 }
 
 TEST(RTreeTest, LeavesHaveSequentialOrdinalsAndTightMbrs) {
@@ -163,46 +102,6 @@ TEST(RTreeTest, HeightGrowsLogarithmically) {
   // 1000 points at fanout 10: 100 leaves, height 3.
   EXPECT_GE(tree.Height(), 3);
   EXPECT_LE(tree.Height(), 4);
-}
-
-
-TEST(RTreeTest, NearestNeighborMatchesBruteForce) {
-  Rng rng(48);
-  const auto entries = RandomEntries(rng, 400);
-  const RTree tree = RTree::BulkLoad(entries, 12);
-  for (int q = 0; q < 100; ++q) {
-    const Point query{rng.Uniform(-10, 110), rng.Uniform(-10, 110)};
-    Point nearest;
-    uint32_t value = 0;
-    double distance = 0.0;
-    ASSERT_TRUE(tree.NearestNeighbor(query, &nearest, &value, &distance));
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& e : entries) {
-      best = std::min(best, Distance(e.point, query));
-    }
-    EXPECT_DOUBLE_EQ(distance, best);
-    EXPECT_DOUBLE_EQ(Distance(nearest, query), best);
-    EXPECT_DOUBLE_EQ(Distance(entries[value].point, query), best);
-  }
-}
-
-TEST(RTreeTest, NearestNeighborOnEmptyTreeFails) {
-  const RTree tree(8);
-  Point nearest;
-  uint32_t value;
-  double distance;
-  EXPECT_FALSE(tree.NearestNeighbor({0, 0}, &nearest, &value, &distance));
-}
-
-TEST(RTreeTest, NearestNeighborExactHit) {
-  RTree tree(4);
-  tree.Insert({1, 1}, 7);
-  tree.Insert({5, 5}, 9);
-  double distance = -1.0;
-  uint32_t value = 0;
-  ASSERT_TRUE(tree.NearestNeighbor({5, 5}, nullptr, &value, &distance));
-  EXPECT_EQ(value, 9u);
-  EXPECT_DOUBLE_EQ(distance, 0.0);
 }
 
 }  // namespace

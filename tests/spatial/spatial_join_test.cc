@@ -45,26 +45,6 @@ TEST(RectSelfJoinTest, DegenerateInputs) {
   EXPECT_TRUE(RectSelfJoin({{0, 0, 1, 1}}).empty());
 }
 
-TEST(RectCrossJoinTest, MatchesBruteForce) {
-  Rng rng(8);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto left = RandomRects(rng, 70, 15);
-    const auto right = RandomRects(rng, 90, 15);
-    std::vector<std::pair<uint32_t, uint32_t>> expected;
-    for (uint32_t i = 0; i < left.size(); ++i) {
-      for (uint32_t j = 0; j < right.size(); ++j) {
-        if (left[i].Intersects(right[j])) expected.emplace_back(i, j);
-      }
-    }
-    EXPECT_EQ(RectCrossJoin(left, right), expected);
-  }
-}
-
-TEST(RectCrossJoinTest, EmptySides) {
-  EXPECT_TRUE(RectCrossJoin({}, {{0, 0, 1, 1}}).empty());
-  EXPECT_TRUE(RectCrossJoin({{0, 0, 1, 1}}, {}).empty());
-}
-
 TEST(LeafAdjacencyTest, SelfIsAlwaysIncludedAndSymmetric) {
   Rng rng(9);
   std::vector<RTree::Entry> entries(400);
