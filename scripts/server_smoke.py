@@ -109,16 +109,26 @@ def main():
         c = LineClient(port)
         epoch = c.request("PUBLISH")[0]
         expect(epoch.startswith("OK "), f"PUBLISH: {epoch}")
-        rows = c.request("JOIN 0.05 0.3 0.3", has_rows=True)
+        join = c.request("JOIN 0.05 0.3 0.3", has_rows=True)
         # All CLIENTS users share an identical hotspot object: every pair
         # matches, so the join returns at least C(CLIENTS, 2) pairs.
-        n_pairs = int(rows[0].split()[1])
+        n_pairs = int(join[0].split()[1])
         expect(
             n_pairs >= CLIENTS * (CLIENTS - 1) // 2,
             f"expected >= {CLIENTS * (CLIENTS - 1) // 2} pairs, got {n_pairs}",
         )
-        rows = c.request("PROBE smoke0 0.05 0.3 0.3", has_rows=True)
-        expect(int(rows[0].split()[1]) >= CLIENTS - 1, f"PROBE rows: {rows[0]}")
+        # A probe answers exactly the user's rows of the join on the same
+        # epoch, best first.
+        probe = c.request("PROBE smoke0 0.05 0.3 0.3", has_rows=True)
+        expect(probe[0].split()[2:] == join[0].split()[2:],
+               f"PROBE epoch: {probe[0]} vs JOIN {join[0]}")
+        expected = sorted(r for r in join[1:] if "smoke0" in r.split()[:2])
+        expect(len(expected) >= CLIENTS - 1, f"smoke0 join rows: {expected}")
+        expect(sorted(probe[1:]) == expected,
+               f"PROBE rows {probe[1:]} != smoke0 join rows {expected}")
+        scores = [float(r.split()[2]) for r in probe[1:]]
+        expect(scores == sorted(scores, reverse=True),
+               f"PROBE rows not best first: {probe[1:]}")
         stats = c.request("STATS")[0]
         expect("publishes=" in stats, f"STATS: {stats}")
 

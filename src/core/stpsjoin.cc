@@ -10,12 +10,19 @@
 #include "core/sppj_d.h"
 #include "core/sppj_f.h"
 #include "core/sppj_f_parallel.h"
+#include "core/user_grid.h"
 #include "planner/feedback.h"
 #include "planner/planner.h"
+#include "spatial/batch.h"
 
 namespace stps {
 
 namespace {
+
+// FindSimilarUsers' candidate table marks users and stores nothing.
+struct NoPayload {
+  void Clear() {}
+};
 
 uint64_t RoundCount(double v) {
   if (!std::isfinite(v) || v <= 0.0) return 0;
@@ -258,16 +265,58 @@ std::vector<ScoredUserPair> FindSimilarUsers(const ObjectDatabase& db,
   if (u >= db.num_users()) return result;
   const MatchThresholds t = query.match_thresholds();
   const std::span<const STObject> du = db.UserObjects(u);
-  for (UserId v = 0; v < db.num_users(); ++v) {
-    if (v == u) continue;
+
+  // Filter: the owners of every object within eps_loc of an object of Du
+  // that, when eps_doc > 0, also shares a signature bit with it. A
+  // matched object pair passes both tests (the kernel's verdicts are
+  // WithinEpsLoc's, and a positive Jaccard needs a shared token), so
+  // every user with a matched object is a candidate. The columns are
+  // scanned in blocks, which keeps the hit buffer a fixed size.
+  constexpr size_t kBlock = 512;
+  uint32_t hits[kBlock];
+  thread_local UserCandidateTable<NoPayload> candidates;
+  candidates.BeginRound(db.num_users());
+  const bool gate = t.eps_doc > 0.0;
+  const std::span<const double> xs = db.xs();
+  const std::span<const double> ys = db.ys();
+  const std::span<const UserId> owners = db.users();
+  const std::span<const TokenSignature> sigs = db.sigs();
+  for (size_t begin = 0; begin < xs.size(); begin += kBlock) {
+    const size_t n = std::min(kBlock, xs.size() - begin);
+    for (const STObject& o : du) {
+      const size_t found = CollectWithinEpsLoc(
+          o.loc, xs.data() + begin, ys.data() + begin, n, t.eps_loc, hits);
+      for (size_t h = 0; h < found; ++h) {
+        const size_t j = begin + hits[h];
+        if (owners[j] == u || (gate && (sigs[j] & o.sig) == 0)) continue;
+        candidates[owners[j]];  // marks the owner as a candidate
+      }
+    }
+  }
+
+  // Verify each candidate exactly.
+  const std::span<const UserId> checked = candidates.SortedTouched();
+  for (const UserId v : checked) {
     const std::span<const STObject> dv = db.UserObjects(v);
     const size_t total = du.size() + dv.size();
-    if (total == 0) continue;
     const size_t matched = ExactSigmaMatched(du, dv, t);
     if (SigmaAtLeast(matched, total, query.eps_u)) {
       result.push_back({std::min(u, v), std::max(u, v),
                         static_cast<double>(matched) /
                             static_cast<double>(total)});
+    }
+  }
+  // Every other user has 0 matched objects, and SigmaAtLeast(0, total,
+  // eps_u) with total > 0 holds exactly when eps_u <= 0: score 0.
+  if (query.eps_u <= 0.0) {
+    size_t next = 0;
+    for (UserId v = 0; v < db.num_users(); ++v) {
+      if (next < checked.size() && checked[next] == v) {
+        ++next;
+        continue;
+      }
+      if (v == u || du.size() + db.UserObjectCount(v) == 0) continue;
+      result.push_back({std::min(u, v), std::max(u, v), 0.0});
     }
   }
   std::sort(result.begin(), result.end(), TopKBetter);

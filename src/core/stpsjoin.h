@@ -92,9 +92,15 @@ std::vector<ScoredUserPair> RunTopKSTPSJoin(
 /// Single-user probe ("find users similar to u"): every user v != u with
 /// sigma(Du, Dv) >= eps_u under the query's match thresholds, scored
 /// exactly and sorted best-first under the TopKBetter total order (pairs
-/// carry a < b like the join results). The exact per-pair kernel is the
-/// same ExactSigmaMatched/SigmaAtLeast discipline as the joins, so a
-/// probe result is exactly the u-rows of RunSTPSJoin's output.
+/// carry a < b like the join results). Filter, then verify: the batched
+/// eps_loc kernel scans the database's SoA columns for each object of Du,
+/// and a hit's owner is a candidate when eps_doc is 0 or the hit shares a
+/// token-signature bit with that object. Only the candidates go through
+/// the joins' exact ExactSigmaMatched/SigmaAtLeast check; every other
+/// user has no matched object and is an answer (score 0) only when
+/// eps_u <= 0. The cost is |Du|·|D| kernel lanes plus the candidates'
+/// exact sigma, and a probe result is exactly the u-rows of RunSTPSJoin's
+/// output. Accepts every threshold, eps_loc = 0 included.
 std::vector<ScoredUserPair> FindSimilarUsers(const ObjectDatabase& db,
                                              UserId u,
                                              const STPSQuery& query);

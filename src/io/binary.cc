@@ -55,6 +55,14 @@ class Reader {
     checksum_.Update(data, size);
     return true;
   }
+  // Reads the whole file from its first byte into data[0, file_size())
+  // through the stream that sized it, so the size and the bytes come from
+  // one file even when a writer replaces the path meanwhile.
+  bool ReadWhole(char* data) {
+    in_.seekg(0, std::ios::beg);
+    in_.read(data, static_cast<std::streamsize>(file_size_));
+    return static_cast<uint64_t>(in_.gcount()) == file_size_;
+  }
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
   bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
   bool F64(double* v) { return Raw(v, sizeof(*v)); }
@@ -196,11 +204,9 @@ Result<ObjectDatabase> ReadBinary(const std::string& path) {
   if (std::memcmp(magic, kMagicV3, sizeof(kMagicV3)) == 0) {
     // v3 arena: read the file to heap and run the fully-verifying load
     // (every section checksum plus the structural cross-checks).
-    std::ifstream in(path, std::ios::binary);
     auto buffer = std::make_shared<std::vector<char>>(
         static_cast<size_t>(reader.file_size()));
-    if (!in.read(buffer->data(),
-                 static_cast<std::streamsize>(buffer->size()))) {
+    if (!reader.ReadWhole(buffer->data())) {
       return Status::IOError("short read: " + path);
     }
     const char* data = buffer->data();

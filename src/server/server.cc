@@ -212,6 +212,10 @@ void QueryServer::AcceptLoop() {
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Send each reply at once. With Nagle's algorithm a reply waits until
+    // the client ACKs the previous one, and a delayed ACK is up to 40 ms.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     bool admitted = false;
     bool shutting_down = false;
     {

@@ -3,6 +3,8 @@
 // Every algorithm must agree with the brute-force reference on all of
 // them.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/stpsjoin.h"
@@ -239,6 +241,58 @@ TEST(EdgeCaseTest, UsersWithDisjointVocabulariesNeverPair) {
   const STPSQuery query{0.1, 0.1, 0.1};
   EXPECT_TRUE(RunSTPSJoin(db, query).empty());
   EXPECT_TRUE(RunTopKSTPSJoin(db, {0.1, 0.1, 5}).empty());
+}
+
+// The probe's filter admits only users with an object within eps_loc
+// that, for eps_doc > 0, shares a token; everyone else is answered
+// without verification. Thresholds where that shortcut decides the
+// answer must still give exactly each user's brute-force join rows.
+TEST(EdgeCaseTest, ProbeMatchesJoinRowsAtDegenerateThresholds) {
+  DatabaseBuilder builder;
+  const auto add = [&builder](const char* user, Point p,
+                              std::vector<std::string> kws, double time) {
+    builder.AddObject(user, p, std::span<const std::string>(kws), time);
+  };
+  // a and b share a point and a token; c sits 0.05 away with the same
+  // token but a later timestamp.
+  add("a", {0.5, 0.5}, {"cafe", "park"}, 0.0);
+  add("a", {0.2, 0.2}, {"museum"}, 0.0);
+  add("b", {0.5, 0.5}, {"cafe"}, 0.5);
+  add("c", {0.55, 0.5}, {"cafe", "park"}, 3.0);
+  // The loner stands on a's and b's point but shares no token with
+  // anyone.
+  add("loner", {0.5, 0.5}, {"solitude"}, 0.0);
+  add("loner", {0.9, 0.9}, {"quiet"}, 0.0);
+  // Two empty docs on one point match each other only at eps_doc = 0.
+  add("e1", {0.8, 0.1}, {}, 0.0);
+  add("e2", {0.8, 0.1}, {}, 0.0);
+  const ObjectDatabase db = std::move(builder).Build();
+  UserId loner = 0;
+  ASSERT_TRUE(db.FindUser("loner", &loner));
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double eps_loc : {0.0, 0.05, 2.0}) {
+    for (const double eps_doc : {0.0, 0.5}) {
+      for (const double eps_u : {0.0, 0.5}) {
+        for (const double eps_time : {kInf, 1.0}) {
+          STPSQuery query{eps_loc, eps_doc, eps_u};
+          query.eps_time = eps_time;
+          const auto expected = BruteForceSTPSJoin(db, query);
+          EXPECT_TRUE(testing_util::ProbesMatchJoin(db, query, expected))
+              << "eps_loc=" << eps_loc << " eps_doc=" << eps_doc
+              << " eps_u=" << eps_u << " eps_time=" << eps_time;
+        }
+      }
+    }
+  }
+  // The shortcut's two sides for the loner: with eps_u = 0 every other
+  // user is an answer at score 0, and with eps_doc = 0 the co-located
+  // users match it.
+  const auto all = FindSimilarUsers(db, loner, {0.05, 0.5, 0.0});
+  ASSERT_EQ(all.size(), db.num_users() - 1);
+  for (const ScoredUserPair& pair : all) EXPECT_EQ(pair.score, 0.0);
+  EXPECT_EQ(FindSimilarUsers(db, loner, {0.0, 0.0, 0.5}).size(), 2u);
+  EXPECT_TRUE(FindSimilarUsers(db, loner, {0.0, 0.5, 0.1}).empty());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "core/update.h"
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -111,14 +110,7 @@ void ExpectSameJoins(const ObjectDatabase& lhs, const ObjectDatabase& rhs) {
   }
 
   // The single-user probe must agree with the brute join's rows.
-  for (UserId u = 0; u < lhs.num_users(); ++u) {
-    std::vector<ScoredUserPair> expected;
-    for (const ScoredUserPair& pair : brute_l) {
-      if (pair.a == u || pair.b == u) expected.push_back(pair);
-    }
-    std::sort(expected.begin(), expected.end(), TopKBetter);
-    EXPECT_TRUE(SameResults(FindSimilarUsers(lhs, u, join), expected, 0.0));
-  }
+  EXPECT_TRUE(testing_util::ProbesMatchJoin(lhs, join, brute_l));
 }
 
 TEST(UpdatableDatabaseTest, StartsAtEmptyEpochZero) {

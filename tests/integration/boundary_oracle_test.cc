@@ -182,6 +182,10 @@ TEST_P(BoundaryOracleTest, AllJoinVariantsMatchBruteForce) {
     const auto sketches = BuildUserSketches(db);
     for (const STPSQuery& query : BoundaryJoinQueries(eps_loc)) {
       const auto expected = BruteForceSTPSJoin(db, query);
+      // The single-user probe returns exactly each user's join rows.
+      ASSERT_TRUE(testing_util::ProbesMatchJoin(db, query, expected))
+          << "seed=" << seed << " eps_loc=" << query.eps_loc
+          << " eps_doc=" << query.eps_doc << " eps_u=" << query.eps_u;
       for (const JoinAlgorithm algorithm :
            {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB,
             JoinAlgorithm::kSPPJF, JoinAlgorithm::kSPPJD}) {

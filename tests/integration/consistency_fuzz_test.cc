@@ -69,6 +69,11 @@ TEST_P(ConsistencyFuzzTest, AllJoinAlgorithmsAgreeOnRandomConfigs) {
     // permissive or prohibitive).
     if (rng.Bernoulli(0.3)) query.eps_time = rng.Uniform(0.0, 2.0);
     const auto expected = BruteForceSTPSJoin(db, query);
+    // The single-user probe returns exactly each user's join rows.
+    ASSERT_TRUE(testing_util::ProbesMatchJoin(db, query, expected))
+        << "seed=" << spec.seed << " eps_loc=" << query.eps_loc
+        << " eps_doc=" << query.eps_doc << " eps_u=" << query.eps_u
+        << " eps_time=" << query.eps_time;
     for (const JoinAlgorithm algorithm :
          {JoinAlgorithm::kSPPJC, JoinAlgorithm::kSPPJB,
           JoinAlgorithm::kSPPJF, JoinAlgorithm::kSPPJD}) {

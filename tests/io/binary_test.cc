@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -482,6 +484,67 @@ TEST(BinaryIoTest, ReplacingASnapshotKeepsMappedReadersIntact) {
     ASSERT_TRUE(current.ok()) << current.status().ToString();
     ExpectSameDatabases(next, current.value());
   }
+  EXPECT_EQ(dir.Entries(), std::vector<std::string>{"live.stpsdb"});
+}
+
+// True when `a` and `b` hold the same objects in the same slots: the
+// columns every query streams, compared element by element. Cheap enough
+// for every read of a loop, where ExpectSameDatabases' per-token string
+// compare is not.
+bool SameColumns(const ObjectDatabase& a, const ObjectDatabase& b) {
+  return a.num_users() == b.num_users() &&
+         a.total_tokens() == b.total_tokens() &&
+         std::ranges::equal(a.xs(), b.xs()) &&
+         std::ranges::equal(a.ys(), b.ys()) &&
+         std::ranges::equal(a.users(), b.users()) &&
+         std::ranges::equal(a.sigs(), b.sigs()) &&
+         std::ranges::equal(a.insertion_order(), b.insertion_order());
+}
+
+// A ReadBinary racing a writer that replaces the file must read one
+// whole file. Sizing the path through one open and reading it through a
+// second let the rename land in between: the read sized one file and
+// read the other ("file size disagrees with header", "short read").
+TEST(BinaryIoTest, ReadRacingAReplacingWriterSeesOneWholeFile) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.File("live.stpsdb");
+  const ObjectDatabase small =
+      GenerateDataset(PresetSpec(DatasetKind::kCheckinSparse, 100, 1));
+  const ObjectDatabase large =
+      GenerateDataset(PresetSpec(DatasetKind::kCheckinSparse, 300, 2));
+  ASSERT_TRUE(WriteBinary(small, path).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> write_failures{0};
+  std::thread writer([&] {
+    for (size_t i = 0; !done.load(); ++i) {
+      if (!WriteBinary(i % 2 == 0 ? large : small, path).ok()) {
+        write_failures.fetch_add(1);
+      }
+    }
+  });
+  constexpr int kReads = 4000;
+  int read_failures = 0;
+  int mismatches = 0;
+  std::string first_error;
+  for (int i = 0; i < kReads; ++i) {
+    const Result<ObjectDatabase> read = ReadBinary(path);
+    if (!read.ok()) {
+      if (read_failures++ == 0) first_error = read.status().ToString();
+      continue;
+    }
+    const ObjectDatabase& db = read.value();
+    if (!SameColumns(db, db.num_users() == small.num_users() ? small
+                                                              : large)) {
+      ++mismatches;
+    }
+  }
+  done.store(true);
+  writer.join();
+  EXPECT_EQ(read_failures, 0) << "of " << kReads << " reads; first: "
+                              << first_error;
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(write_failures.load(), 0);
   EXPECT_EQ(dir.Entries(), std::vector<std::string>{"live.stpsdb"});
 }
 

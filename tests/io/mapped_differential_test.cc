@@ -113,6 +113,24 @@ TEST_F(MappedDifferentialTest, TopKIdenticalAcrossVariants) {
   }
 }
 
+TEST_F(MappedDifferentialTest, ProbesIdenticalAcrossVariants) {
+  STPSQuery query;
+  query.eps_loc = 0.1;
+  query.eps_doc = 0.3;
+  query.eps_u = 0.2;
+  const auto brute = BruteForceSTPSJoin(original_, query);
+  for (UserId u = 0; u < original_.num_users(); ++u) {
+    const auto ro = FindSimilarUsers(original_, u, query);
+    const std::string what = "probe user " + std::to_string(u);
+    ExpectBitIdentical(ro, testing_util::ProbeRowsOf(brute, u),
+                       (what + " brute").c_str());
+    ExpectBitIdentical(ro, FindSimilarUsers(heap_, u, query),
+                       (what + " heap").c_str());
+    ExpectBitIdentical(ro, FindSimilarUsers(mapped_, u, query),
+                       (what + " mapped").c_str());
+  }
+}
+
 TEST_F(MappedDifferentialTest, MappedAndHeapLookupsAgree) {
   ASSERT_EQ(heap_.num_users(), mapped_.num_users());
   ASSERT_EQ(heap_.num_objects(), mapped_.num_objects());

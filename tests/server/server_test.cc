@@ -1,17 +1,20 @@
 // QueryServer end-to-end tests: an in-process server on an ephemeral
 // loopback port, exercised by real sockets. Covers protocol correctness
 // (responses match direct library calls bit-for-bit), update visibility
-// across PUBLISH epochs, concurrent clients, admission-control
-// backpressure, and graceful shutdown.
+// across PUBLISH epochs, concurrent clients, replies sent without
+// Nagle's delay, admission-control backpressure, and graceful shutdown.
 
 #include "server/server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -30,9 +33,15 @@ namespace {
 // Minimal blocking line-protocol client with poll-based read timeouts.
 class TestClient {
  public:
-  explicit TestClient(int port) {
+  // `no_delay` sets TCP_NODELAY on the client's socket, so only the
+  // server's socket options can hold a reply back.
+  explicit TestClient(int port, bool no_delay = false) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) return;
+    if (no_delay) {
+      const int one = 1;
+      ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<uint16_t>(port));
@@ -313,14 +322,26 @@ TEST_F(ServerTest, ServesManyConcurrentClients) {
   join.eps_u = 0.2;
   JoinOptions options;
   options.algorithm = JoinAlgorithm::kSPPJF;
-  const auto join_expected = ExpectedRows(
-      snapshot->db, RunSTPSJoin(snapshot->db, join, options), snapshot->epoch);
+  const ObjectDatabase& db = snapshot->db;
+  const auto join_rows = RunSTPSJoin(db, join, options);
+  const auto join_expected = ExpectedRows(db, join_rows, snapshot->epoch);
 
   constexpr int kClients = 8;
+  // Each client also probes its own user, so several workers run
+  // FindSimilarUsers on one snapshot at once.
+  std::vector<std::string> probe_requests;
+  std::vector<std::vector<std::string>> probe_expected;
+  for (int c = 0; c < kClients; ++c) {
+    const UserId u = static_cast<UserId>(c) % db.num_users();
+    probe_requests.push_back("PROBE " + std::string(db.UserName(u)) +
+                             " 0.15 0.25 0.2");
+    probe_expected.push_back(ExpectedRows(
+        db, testing_util::ProbeRowsOf(join_rows, u), snapshot->epoch));
+  }
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([this, c, &failures, &join_expected] {
+    clients.emplace_back([&, c] {
       TestClient client(server_->port());
       if (!client.connected()) {
         failures.fetch_add(1);
@@ -330,7 +351,8 @@ TEST_F(ServerTest, ServesManyConcurrentClients) {
         const std::string request = (c % 2 == 0)
                                         ? "JOIN 0.15 0.25 0.2 ALGO sppjf"
                                         : "JOIN 0.15 0.25 0.2 ALGO brute";
-        if (client.Query(request) != join_expected) {
+        if (client.Query(request) != join_expected ||
+            client.Query(probe_requests[c]) != probe_expected[c]) {
           failures.fetch_add(1);
           return;
         }
@@ -348,13 +370,65 @@ TEST_F(ServerTest, ServesManyConcurrentClients) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
   while (server_->stats().requests_served <
-             static_cast<uint64_t>(kClients * 6) &&
+             static_cast<uint64_t>(kClients * 9) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   const ServerStats stats = server_->stats();
   EXPECT_GE(stats.connections_accepted, static_cast<uint64_t>(kClients));
-  EXPECT_GE(stats.requests_served, static_cast<uint64_t>(kClients * 6));
+  EXPECT_GE(stats.requests_served, static_cast<uint64_t>(kClients * 9));
+}
+
+// Requests sent 5 ms apart, each answered at once. With Nagle's
+// algorithm on the server's socket, a burst of pipelined replies leaves
+// unacknowledged data behind, and from then on each small reply waits
+// for the ACK that rides on the client's next request (or on its
+// delayed-ACK timer), so it lags about one interval.
+TEST_F(ServerTest, PacedRepliesAreNotHeldBack) {
+  StartServer();
+  TestClient client(server_->port(), /*no_delay=*/true);
+  ASSERT_TRUE(client.connected());
+  // Closed-loop requests first, so the connection leaves quick-ack mode.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client.SendLine("PING"));
+    ASSERT_EQ(client.ReadLine(), "OK pong");
+  }
+  // A pipelined burst, whose replies are read while the paced requests
+  // go out.
+  constexpr size_t kBurst = 20;
+  std::string burst = "PING";
+  for (size_t i = 1; i < kBurst; ++i) burst += "\nPING";
+  ASSERT_TRUE(client.SendLine(burst));
+
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kInterval = std::chrono::milliseconds(5);
+  constexpr size_t kPaced = 12;
+  std::vector<Clock::time_point> sent;
+  std::vector<double> latency_ms;
+  size_t replies = 0;
+  const auto take_reply = [&](int timeout_ms) {
+    const std::string line = client.ReadLine(timeout_ms);
+    if (line.empty()) return false;
+    EXPECT_EQ(line, "OK pong");
+    if (++replies > kBurst) {
+      latency_ms.push_back(std::chrono::duration<double, std::milli>(
+                               Clock::now() - sent[latency_ms.size()])
+                               .count());
+    }
+    return true;
+  };
+  for (size_t i = 0; i < kPaced; ++i) {
+    sent.push_back(Clock::now());
+    ASSERT_TRUE(client.SendLine("PING"));
+    while (Clock::now() < sent.back() + kInterval) take_reply(1);
+  }
+  while (latency_ms.size() < kPaced) {
+    ASSERT_TRUE(take_reply(1000)) << "a PING got no reply";
+  }
+  std::sort(latency_ms.begin(), latency_ms.end());
+  const double median = latency_ms[kPaced / 2];
+  EXPECT_LT(median, 2.5) << "median reply latency " << median
+                         << " ms; slowest " << latency_ms.back() << " ms";
 }
 
 TEST_F(ServerTest, AdmissionControlRejectsWhenSaturated) {

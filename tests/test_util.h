@@ -5,6 +5,7 @@
 #ifndef STPS_TESTS_TEST_UTIL_H_
 #define STPS_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <span>
@@ -12,9 +13,12 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/rng.h"
 #include "core/database.h"
 #include "core/similarity.h"
+#include "core/stpsjoin.h"
 
 namespace stps {
 namespace testing_util {
@@ -120,6 +124,35 @@ inline bool SameResults(const std::vector<ScoredUserPair>& x,
     if (std::fabs(x[i].score - y[i].score) > tolerance) return false;
   }
   return true;
+}
+
+/// The rows of an exact join result that involve user `u`, best-first
+/// under TopKBetter: what FindSimilarUsers must return for u under the
+/// join's query.
+inline std::vector<ScoredUserPair> ProbeRowsOf(
+    const std::vector<ScoredUserPair>& join, UserId u) {
+  std::vector<ScoredUserPair> rows;
+  for (const ScoredUserPair& pair : join) {
+    if (pair.a == u || pair.b == u) rows.push_back(pair);
+  }
+  std::sort(rows.begin(), rows.end(), TopKBetter);
+  return rows;
+}
+
+/// Probes every user of `db` under `query` and compares each answer with
+/// its rows of `join`, the exact join result of the same query, with
+/// tolerance 0.
+inline ::testing::AssertionResult ProbesMatchJoin(
+    const ObjectDatabase& db, const STPSQuery& query,
+    const std::vector<ScoredUserPair>& join) {
+  for (UserId u = 0; u < db.num_users(); ++u) {
+    if (!SameResults(FindSimilarUsers(db, u, query), ProbeRowsOf(join, u),
+                     /*tolerance=*/0.0)) {
+      return ::testing::AssertionFailure()
+             << "probe of user " << u << " differs from its join rows";
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace testing_util
