@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Builds the suite with ThreadSanitizer and runs the concurrency-relevant
-# tests (thread pool, parallel determinism, cross-algorithm fuzz). Any
-# data race in the work-stealing pool or the parallel join drivers fails
-# the run.
+# tests (the fork-join loop, parallel determinism, cross-algorithm fuzz).
+# Any data race in the loop or the parallel join drivers fails the run.
 # Usage: scripts/run_tsan_tests.sh [build_dir]
 set -eu
 
@@ -14,7 +13,7 @@ cmake --build "$BUILD_DIR" -j --target \
   planner_test update_test delta_publish_test server_test
 
 # halt_on_error so CI fails fast; second_deadlock_stack for lock-order
-# reports that involve the pool mutex plus a client lock.
+# reports that involve two locks (the shared top-k queue's, a server's).
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
 
 cd "$BUILD_DIR"

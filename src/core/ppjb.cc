@@ -19,7 +19,7 @@ bool IsOddRow(int64_t row) { return (row % 2) == 0; }
 
 // Per-thread scratch for the pair kernels: the flag vectors, neighbour
 // list, and merged traversal are reused across the millions of user pairs
-// a join evaluates (thread_local so the pool workers never share).
+// a join evaluates (thread_local so the workers never share).
 struct PairScratch {
   std::vector<uint8_t> matched_u;
   std::vector<uint8_t> matched_v;

@@ -12,9 +12,10 @@
 // stepped one ULP down: the tail's reported score is the rational
 // matched/total rounded to nearest, which can lie above that rational
 // (fl(2/13) > 2/13), and an exact prune against it would reject a pair
-// scoring exactly the tail's rational. The sequential drivers and the
-// parallel drivers (thread-local queues merged via Offer at the end) then
-// resolve boundary ties identically.
+// scoring exactly the tail's rational. Because Offer ignores arrival
+// order, the top-k workers can share one queue (core/topk.cc) and the
+// sketch driver's thread-local queues can be merged via Offer; both
+// resolve boundary ties exactly as the sequential drivers do.
 
 #ifndef STPS_CORE_RESULT_QUEUE_H_
 #define STPS_CORE_RESULT_QUEUE_H_

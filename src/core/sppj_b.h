@@ -20,8 +20,8 @@ std::vector<ScoredUserPair> SPPJB(const ObjectDatabase& db,
                                   const STPSQuery& query,
                                   JoinStats* stats = nullptr);
 
-/// Parallel S-PPJ-B: the probing-user loop is distributed over the
-/// work-stealing thread pool; every pair is still evaluated exactly once
+/// Parallel S-PPJ-B: the probing-user loop runs in the fork-join loop
+/// of common/thread_pool.h; every pair is still evaluated exactly once
 /// and the result is bit-identical to SPPJB at any thread count.
 std::vector<ScoredUserPair> SPPJBParallel(const ObjectDatabase& db,
                                           const STPSQuery& query,

@@ -64,11 +64,10 @@ std::vector<ScoredUserPair> SPPJCParallel(const ObjectDatabase& db,
   const MatchThresholds t = query.match_thresholds();
   const size_t n = db.num_users();
 
-  ThreadPool pool(parallel.num_threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
+  const size_t slots = static_cast<size_t>(parallel.num_threads);
   std::vector<std::vector<ScoredUserPair>> per_worker(slots);
   std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(0, n, parallel.grain, [&](size_t u1, int worker) {
+  ParallelForEach(parallel.num_threads, 0, n, [&](size_t u1, int worker) {
     ProcessUserC(db, grid, query, t, static_cast<UserId>(u1),
                  &per_worker[static_cast<size_t>(worker)],
                  stats != nullptr ? &worker_stats[static_cast<size_t>(worker)]

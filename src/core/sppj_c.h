@@ -20,8 +20,8 @@ std::vector<ScoredUserPair> SPPJC(const ObjectDatabase& db,
                                   const STPSQuery& query,
                                   JoinStats* stats = nullptr);
 
-/// Parallel S-PPJ-C: the probing-user loop is distributed over the
-/// work-stealing thread pool; every pair is still evaluated exactly once
+/// Parallel S-PPJ-C: the probing-user loop runs in the fork-join loop
+/// of common/thread_pool.h; every pair is still evaluated exactly once
 /// and the result is bit-identical to SPPJC at any thread count.
 std::vector<ScoredUserPair> SPPJCParallel(const ObjectDatabase& db,
                                           const STPSQuery& query,

@@ -149,13 +149,13 @@ size_t CountColocatedEarlierUsersD(const LeafPartitionIndex& index,
 // One pass over probing user u: filter via the leaf-level inverted
 // lists, sigma_bar count bound, then PPJ-D refinement. Candidates are
 // restricted to earlier users so every pair is evaluated exactly once;
-// used by both the sequential and the pool-parallel driver.
+// used by both the sequential and the parallel driver.
 void ProcessUserD(const ObjectDatabase& db, const LeafPartitionIndex& index,
                   const STPSQuery& query, const MatchThresholds& t, UserId u,
                   std::vector<ScoredUserPair>* out, JoinStats* stats) {
   const UserLayout& lu = index.UserLeaves(u);
   const size_t nu = db.UserObjectCount(u);
-  // Dense epoch-stamped accumulator (user_grid.h): one per pool worker,
+  // Dense epoch-stamped accumulator (user_grid.h): one per worker thread,
   // reused across probing users with an O(1) reset instead of a map
   // rehash, and with deterministic ascending refine order.
   thread_local UserCandidateTable<CandidateCells> candidates;
@@ -252,7 +252,7 @@ double PPJDPair(const UserLayout& lu, size_t nu, const UserLayout& lv,
   // pair with sigma exactly eps_u.
   const int64_t budget = SigmaUnmatchedBudget(nu + nv, eps_u);
   // Per-thread scratch: flags and the merged leaf traversal survive
-  // across user pairs (each pool worker has its own).
+  // across user pairs (each worker thread has its own).
   struct DPairScratch {
     std::vector<uint8_t> matched_u, matched_v;
     std::vector<MergedPartition> merged;
@@ -363,12 +363,11 @@ std::vector<ScoredUserPair> SPPJDParallel(const ObjectDatabase& db,
   const LeafPartitionIndex index = BuildIndex(db, query, options);
   const MatchThresholds t = query.match_thresholds();
 
-  ThreadPool pool(parallel.num_threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
+  const size_t slots = static_cast<size_t>(parallel.num_threads);
   std::vector<std::vector<ScoredUserPair>> per_worker(slots);
   std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(
-      0, db.num_users(), parallel.grain, [&](size_t u, int worker) {
+  ParallelForEach(
+      parallel.num_threads, 0, db.num_users(), [&](size_t u, int worker) {
         ProcessUserD(db, index, query, t, static_cast<UserId>(u),
                      &per_worker[static_cast<size_t>(worker)],
                      stats != nullptr

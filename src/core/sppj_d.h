@@ -134,8 +134,8 @@ std::vector<ScoredUserPair> SPPJD(const ObjectDatabase& db,
                                   JoinStats* stats = nullptr);
 
 /// Parallel S-PPJ-D: the leaf index is built once (it is not
-/// incremental), then the probing-user loop runs on the work-stealing
-/// pool with candidates restricted to earlier users. Bit-identical to
+/// incremental), then the probing-user loop runs in the fork-join loop
+/// with candidates restricted to earlier users. Bit-identical to
 /// SPPJD at any thread count.
 std::vector<ScoredUserPair> SPPJDParallel(const ObjectDatabase& db,
                                           const STPSQuery& query,

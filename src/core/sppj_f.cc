@@ -83,8 +83,8 @@ void ProcessUser(const ObjectDatabase& db, const UserGrid& grid,
 }
 
 // Builds the grid and the complete index (users in id order) once, then
-// runs the per-user pass over the pool; one thread is the sequential
-// S-PPJ-F.
+// runs the per-user pass in the fork-join loop; one thread is the
+// sequential S-PPJ-F.
 std::vector<ScoredUserPair> RunSPPJF(const ObjectDatabase& db,
                                      const STPSQuery& query,
                                      const ParallelOptions& parallel,
@@ -105,12 +105,11 @@ std::vector<ScoredUserPair> RunSPPJF(const ObjectDatabase& db,
   std::iota(order.begin(), order.end(), 0u);
   const SpatioTextualGridIndex index(grid, order);
 
-  ThreadPool pool(parallel.num_threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
+  const size_t slots = static_cast<size_t>(parallel.num_threads);
   std::vector<std::vector<ScoredUserPair>> per_worker(slots);
   std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(
-      0, db.num_users(), parallel.grain, [&](size_t u, int worker) {
+  ParallelForEach(
+      parallel.num_threads, 0, db.num_users(), [&](size_t u, int worker) {
         ProcessUser(db, grid, index, query, use_sigma_bound,
                     use_refine_bound, static_cast<UserId>(u),
                     &per_worker[static_cast<size_t>(worker)],

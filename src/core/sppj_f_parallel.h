@@ -5,10 +5,11 @@
 // then process disjoint user subsets, restricting candidates to users
 // earlier in the total order, so every pair is evaluated by exactly one
 // worker. All shared state is immutable during the parallel phase.
-// Scheduling runs on the work-stealing ThreadPool (common/thread_pool.h);
-// results and JoinStats counters are accumulated per worker slot and
-// merged at the end, so the output is bit-identical to SPPJF — the same
-// per-user pass on one thread — at any thread count.
+// Scheduling is the fork-join loop of common/thread_pool.h, which claims
+// users in ascending id order; results and JoinStats counters are
+// accumulated per worker slot and merged at the end, so the output is
+// bit-identical to SPPJF — the same per-user pass on one thread — at any
+// thread count.
 
 #ifndef STPS_CORE_SPPJ_F_PARALLEL_H_
 #define STPS_CORE_SPPJ_F_PARALLEL_H_
@@ -22,7 +23,7 @@
 
 namespace stps {
 
-/// Evaluates the STPSJoin query on the work-stealing pool. Produces the
+/// Evaluates the STPSJoin query in the fork-join loop. Produces the
 /// same result and JoinStats as SPPJF (sorted by (a, b), exact scores)
 /// at any thread count; RunSTPSJoin routes here when
 /// JoinOptions::threads > 1. Preconditions: eps_loc > 0, eps_doc > 0,

@@ -35,7 +35,7 @@ std::vector<ScoredUserPair> DispatchJoin(const ObjectDatabase& db,
                                          const STPSQuery& query,
                                          const JoinOptions& options,
                                          int threads, JoinStats* stats) {
-  const ParallelOptions parallel{threads, 0};
+  const ParallelOptions parallel{threads};
   switch (options.algorithm) {
     case JoinAlgorithm::kBruteForce: {
       std::vector<ScoredUserPair> result = BruteForceSTPSJoin(db, query);

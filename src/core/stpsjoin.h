@@ -47,8 +47,8 @@ struct JoinOptions {
   /// R-tree node capacity; only used by S-PPJ-D.
   int rtree_fanout = 128;
   /// The join's thread budget. When > 1, every grid- or leaf-based
-  /// algorithm runs its pool-parallel driver on this many workers with
-  /// the pool's automatic chunk size (brute force always runs
+  /// algorithm runs its parallel driver on this many threads with the
+  /// loop's automatic chunk size (brute force always runs
   /// sequentially); kAuto treats it as a ceiling and may pick fewer.
   int threads = 1;
 };
@@ -83,8 +83,8 @@ Status ValidateTopKQuery(const TopKQuery& query, TopKAlgorithm algorithm);
 
 /// Evaluates the top-k query; results best-first under TopKBetter.
 /// Precondition: ValidateTopKQuery(query, algorithm).ok(). When
-/// query.parallel.num_threads > 1, the index-based variants run on the
-/// work-stealing pool (identical results at any thread count).
+/// query.parallel.num_threads > 1, the index-based variants run in the
+/// fork-join loop (identical results at any thread count).
 std::vector<ScoredUserPair> RunTopKSTPSJoin(
     const ObjectDatabase& db, const TopKQuery& query,
     TopKAlgorithm algorithm = TopKAlgorithm::kP, JoinStats* stats = nullptr);

@@ -1,6 +1,8 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -127,6 +129,40 @@ size_t EstimateMatchableObjects(const GridGeometry& geometry,
   return count;
 }
 
+// The one result queue of a top-k query, shared by its workers. A worker
+// offers each exactly scored pair under the lock, and the queue's
+// threshold is mirrored into an atomic, so the prunes read it without
+// the lock. The queue only ever holds real pairs, so the threshold never
+// exceeds the final k-th score stepped one ULP down: a pruned pair is
+// beaten by k real pairs, and a pair tying the final k-th score survives.
+// A pair of the final top-k has at most k - 1 better pairs, so once
+// offered it stays. Which worker finds a pair first therefore changes
+// the work, never the result. On one thread this is exactly the
+// sequential algorithm's queue.
+class SharedResultQueue {
+ public:
+  explicit SharedResultQueue(size_t k) : queue_(k) {}
+
+  /// ResultQueue::Threshold() as of the latest Offer.
+  double Threshold() const { return threshold_.load(); }
+
+  void Offer(const ScoredUserPair& pair) {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.Offer(pair);
+    threshold_.store(queue_.Threshold());
+  }
+
+  std::vector<ScoredUserPair> TakeSorted() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queue_.TakeSorted();
+  }
+
+ private:
+  std::mutex mu_;
+  ResultQueue queue_;  // guarded by mu_
+  std::atomic<double> threshold_{0.0};
+};
+
 // Refines u's candidates against `queue`: the sigma_bar count bound once
 // the queue is full (exact SigmaAtLeast, so a candidate that can still
 // *tie* the tail score survives and Offer settles it on the id order),
@@ -138,14 +174,14 @@ void RefineCandidates(const ObjectDatabase& db, const UserGrid& grid,
                       const MatchThresholds& t, UserId u,
                       const UserLayout& cu, size_t nu,
                       UserCandidateTable<CandidateCells>* candidates,
-                      ResultQueue* queue, JoinStats* stats) {
+                      SharedResultQueue* queue, JoinStats* stats) {
   if (stats != nullptr) stats->pairs_candidate += candidates->size();
   for (const UserId candidate : candidates->SortedTouched()) {
     CandidateCells& cells = (*candidates)[candidate];
     const UserLayout& cv = grid.UserCells(candidate);
     const size_t nv = db.UserObjectCount(candidate);
     const double eps_u = queue->Threshold();
-    if (queue->full()) {
+    if (eps_u > 0.0) {
       SortUnique(&cells.my_cells);
       SortUnique(&cells.their_cells);
       size_t m = 0;
@@ -187,8 +223,7 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
   STPS_CHECK(query.eps_doc > 0.0);
   STPS_CHECK(query.k > 0);
   STPS_CHECK(parallel.num_threads >= 1);
-  ResultQueue queue(query.k);
-  if (db.num_objects() == 0) return queue.TakeSorted();
+  if (db.num_objects() == 0) return {};
 
   const UserGrid grid(db, query.eps_loc);
   const MatchThresholds t = query.match_thresholds();
@@ -200,35 +235,33 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
   // holds when u is processed.
   const SpatioTextualGridIndex index(grid, order);
 
-  ThreadPool pool(parallel.num_threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
-  std::vector<ResultQueue> queues(slots, ResultQueue(query.k));
-  std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(
-      0, order.size(), parallel.grain, [&](size_t r, int worker) {
+  SharedResultQueue queue(query.k);
+  std::vector<JoinStats> worker_stats(
+      static_cast<size_t>(parallel.num_threads));
+  ParallelForEach(
+      parallel.num_threads, 0, order.size(), [&](size_t r, int worker) {
         const UserId u = order[r];
         const uint32_t rank_u = static_cast<uint32_t>(r);
         const UserLayout& cu = grid.UserCells(u);
         const size_t nu = db.UserObjectCount(u);
-        ResultQueue& local = queues[static_cast<size_t>(worker)];
         JoinStats* ws = stats != nullptr
                             ? &worker_stats[static_cast<size_t>(worker)]
                             : nullptr;
 
-        // TOPK-S-PPJ-P: Lemma 2 prefilter against the worker's queue (on
-        // one thread, the only queue). A queue holds k real pairs, so
-        // anything below its threshold is outside the global top-k too.
-        // Under the ascending-size order, the running max of previous
-        // sizes is simply the previous user's size.
-        if (variant == TopKVariant::kP && r > 0 && local.full()) {
+        // TOPK-S-PPJ-P: Lemma 2 prefilter against the queue's threshold,
+        // a lower bound on the final k-th score: a user whose sigma_bar_u
+        // is below it has no pair in the top-k. Under the ascending-size
+        // order, the running max of previous sizes is simply the previous
+        // user's size.
+        const double eps_u = queue.Threshold();
+        if (variant == TopKVariant::kP && r > 0 && eps_u > 0.0) {
           const size_t max_prev_size = db.UserObjectCount(order[r - 1]);
           if (max_prev_size > 0) {
             const size_t matchable = EstimateMatchableObjects(
                 grid.geometry(), index, cu, rank_u);
-            // Exact counting form of sigma_bar_u < Threshold() — ties
-            // survive.
+            // Exact counting form of sigma_bar_u < eps_u — ties survive.
             if (!SigmaAtLeast(matchable + max_prev_size, nu + max_prev_size,
-                              local.Threshold())) {
+                              eps_u)) {
               return;
             }
           }
@@ -238,14 +271,8 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
         candidates.BeginRound(db.num_users());
         CollectCandidates(grid.geometry(), index, cu, rank_u, &candidates,
                           ws);
-        RefineCandidates(db, grid, t, u, cu, nu, &candidates, &local, ws);
+        RefineCandidates(db, grid, t, u, cu, nu, &candidates, &queue, ws);
       });
-
-  for (const ResultQueue& local : queues) {
-    for (const ScoredUserPair& pair : local.TakeSorted()) {
-      queue.Offer(pair);
-    }
-  }
   MergeWorkerStats(stats, worker_stats);
   return queue.TakeSorted();
 }

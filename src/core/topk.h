@@ -41,10 +41,10 @@ std::vector<ScoredUserPair> TopKSTPSJoin(const ObjectDatabase& db,
                                          JoinStats* stats = nullptr);
 
 /// Parallel top-k: the spatio-textual index is built once over all users
-/// in processing-rank order, workers keep thread-local ResultQueues
-/// (their thresholds are conservative: a local queue holds k real pairs,
-/// so anything it prunes is outside the global top-k), and the local
-/// queues are merged at the end. The result is identical to the
+/// in processing-rank order, the workers claim users in that order, and
+/// they offer their exactly scored pairs to one shared queue and prune
+/// against its threshold (a queue of k real pairs, so anything it prunes
+/// is outside the final top-k). The result is identical to the
 /// sequential TopKSTPSJoin at any thread count because the top-k under
 /// the TopKBetter total order is unique.
 std::vector<ScoredUserPair> TopKSTPSJoinParallel(

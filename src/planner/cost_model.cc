@@ -12,7 +12,7 @@ namespace {
 // a few hundred microseconds, which matches the measured break-even of
 // the pool drivers on small inputs.
 constexpr double kPoolOverheadUnits = 150e3;
-// Fraction of perfect scaling the work-stealing pool achieves on the
+// Fraction of perfect scaling the fork-join loop achieves on the
 // join workloads (memory-bound refine stages do not scale linearly).
 constexpr double kParallelEfficiency = 0.75;
 // Units per merged cell of the S-PPJ-B/C pair walk: one partition lookup

@@ -38,13 +38,12 @@ std::vector<ScoredUserPair> SketchSTPSJoin(const ObjectDatabase& db,
   // Every candidate verifies independently into its own slot, so the
   // surviving pairs — already in (a, b) order — need no post-merge sort
   // and the result is bit-identical at any thread count. With
-  // num_threads == 1 the pool runs the loop inline in ascending order.
+  // num_threads == 1 the loop runs inline in ascending order.
   std::vector<ScoredUserPair> slot(n);
   std::vector<uint8_t> hit(n, 0);
-  ThreadPool pool(std::max(parallel.num_threads, 1));
-  std::vector<JoinStats> worker_stats(
-      static_cast<size_t>(pool.num_threads()));
-  pool.ParallelForEach(0, n, parallel.grain, [&](size_t i, int worker) {
+  const int threads = std::max(parallel.num_threads, 1);
+  std::vector<JoinStats> worker_stats(static_cast<size_t>(threads));
+  ParallelForEach(threads, 0, n, [&](size_t i, int worker) {
     const auto [a, b] = cand.pairs[i];
     JoinStats* ws = stats != nullptr
                         ? &worker_stats[static_cast<size_t>(worker)]
@@ -139,13 +138,13 @@ std::vector<ScoredUserPair> SketchTopKSTPSJoin(
   // Thread-local queues, merged via Offer: a local queue only ever holds
   // real (exactly verified) pairs, so its threshold is a sound global
   // bound — any pair it prunes is beaten by k real pairs and cannot be in
-  // the global top-k (same argument as TopKSTPSJoinParallel).
-  ThreadPool pool(threads);
-  const size_t slots = static_cast<size_t>(pool.num_threads());
+  // the global top-k (the argument TopKSTPSJoinParallel's shared queue
+  // rests on, in core/topk.cc).
+  const size_t slots = static_cast<size_t>(threads);
   std::vector<ResultQueue> queues(slots, ResultQueue(query.k));
   std::vector<JoinStats> worker_stats(slots);
-  pool.ParallelForEach(
-      0, cand.priority.size(), parallel.grain, [&](size_t i, int worker) {
+  ParallelForEach(
+      threads, 0, cand.priority.size(), [&](size_t i, int worker) {
         JoinStats* ws = stats != nullptr
                             ? &worker_stats[static_cast<size_t>(worker)]
                             : nullptr;

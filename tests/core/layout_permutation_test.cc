@@ -160,7 +160,7 @@ TEST(LayoutPermutationTest, TopKVariantsAreInsertionOrderInvariant) {
                 expected_scores)
           << TopKAlgorithmName(algorithm) << " shuffle=" << seed;
       TopKQuery parallel_small = small;
-      parallel_small.parallel = ParallelOptions{3, 0};
+      parallel_small.parallel = ParallelOptions{3};
       EXPECT_EQ(Scores(RunTopKSTPSJoin(db, parallel_small, algorithm)),
                 expected_scores)
           << "parallel " << TopKAlgorithmName(algorithm)

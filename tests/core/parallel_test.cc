@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "core/sppj_b.h"
 #include "core/sppj_c.h"
 #include "core/sppj_d.h"
@@ -12,6 +15,8 @@
 #include "core/sppj_f_parallel.h"
 #include "core/stpsjoin.h"
 #include "core/topk.h"
+#include "datagen/generator.h"
+#include "datagen/presets.h"
 #include "test_util.h"
 
 namespace stps {
@@ -24,7 +29,7 @@ using testing_util::SameResults;
 class ParallelJoinTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelJoinTest, SPPJFMatchesSequentialBitIdentical) {
-  const ParallelOptions parallel{GetParam(), 0};
+  const ParallelOptions parallel{GetParam()};
   for (const uint64_t seed : {1u, 2u, 3u}) {
     RandomDbSpec spec;
     spec.seed = seed;
@@ -41,7 +46,7 @@ TEST_P(ParallelJoinTest, SPPJFMatchesSequentialBitIdentical) {
 }
 
 TEST_P(ParallelJoinTest, SPPJBMatchesSequentialBitIdentical) {
-  const ParallelOptions parallel{GetParam(), 0};
+  const ParallelOptions parallel{GetParam()};
   for (const uint64_t seed : {1u, 2u}) {
     RandomDbSpec spec;
     spec.seed = seed;
@@ -58,7 +63,7 @@ TEST_P(ParallelJoinTest, SPPJBMatchesSequentialBitIdentical) {
 }
 
 TEST_P(ParallelJoinTest, SPPJCMatchesSequentialBitIdentical) {
-  const ParallelOptions parallel{GetParam(), 0};
+  const ParallelOptions parallel{GetParam()};
   for (const uint64_t seed : {1u, 2u}) {
     RandomDbSpec spec;
     spec.seed = seed;
@@ -75,7 +80,7 @@ TEST_P(ParallelJoinTest, SPPJCMatchesSequentialBitIdentical) {
 }
 
 TEST_P(ParallelJoinTest, SPPJDMatchesSequentialBitIdentical) {
-  const ParallelOptions parallel{GetParam(), 0};
+  const ParallelOptions parallel{GetParam()};
   for (const uint64_t seed : {1u, 2u}) {
     RandomDbSpec spec;
     spec.seed = seed;
@@ -98,7 +103,7 @@ TEST_P(ParallelJoinTest, SPPJDMatchesSequentialBitIdentical) {
 }
 
 TEST_P(ParallelJoinTest, TopKMatchesSequentialBitIdentical) {
-  const ParallelOptions parallel{GetParam(), 0};
+  const ParallelOptions parallel{GetParam()};
   for (const uint64_t seed : {1u, 2u}) {
     RandomDbSpec spec;
     spec.seed = seed;
@@ -122,7 +127,7 @@ TEST_P(ParallelJoinTest, TopKMatchesSequentialBitIdentical) {
 }
 
 TEST_P(ParallelJoinTest, DeterministicAcrossRuns) {
-  const ParallelOptions parallel{GetParam(), 0};
+  const ParallelOptions parallel{GetParam()};
   const ObjectDatabase db = BuildRandomDatabase(RandomDbSpec{});
   const STPSQuery query{0.08, 0.4, 0.2};
   const auto first = SPPJFParallel(db, query, parallel);
@@ -136,8 +141,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelJoinTest,
 TEST(ParallelJoinTest, EmptyDatabase) {
   DatabaseBuilder builder;
   const ObjectDatabase db = std::move(builder).Build();
-  EXPECT_TRUE(
-      SPPJFParallel(db, {0.1, 0.3, 0.3}, ParallelOptions{4, 0}).empty());
+  EXPECT_TRUE(SPPJFParallel(db, {0.1, 0.3, 0.3}, ParallelOptions{4}).empty());
 }
 
 TEST(ParallelJoinTest, MoreThreadsThanUsers) {
@@ -145,7 +149,7 @@ TEST(ParallelJoinTest, MoreThreadsThanUsers) {
   spec.num_users = 3;
   const ObjectDatabase db = BuildRandomDatabase(spec);
   const STPSQuery query{0.2, 0.2, 0.1};
-  EXPECT_TRUE(SameResults(SPPJFParallel(db, query, ParallelOptions{16, 0}),
+  EXPECT_TRUE(SameResults(SPPJFParallel(db, query, ParallelOptions{16}),
                           SPPJF(db, query)));
 }
 
@@ -176,12 +180,52 @@ TEST(ParallelJoinTest, QueryParallelOptionsRouteThroughRunTopK) {
   for (const TopKAlgorithm algorithm :
        {TopKAlgorithm::kF, TopKAlgorithm::kS, TopKAlgorithm::kP}) {
     const auto expected = RunTopKSTPSJoin(db, query, algorithm);
-    query.parallel = ParallelOptions{8, 1};
+    query.parallel = ParallelOptions{8};
     const auto actual = RunTopKSTPSJoin(db, query, algorithm);
     query.parallel = ParallelOptions{};
     EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
         << TopKAlgorithmName(algorithm);
   }
+}
+
+// Parallel TOPK-S-PPJ-P on the CheckinSparse corpus of the sweep_sparse
+// benchmark (1,600 users) and its six top-k queries: the same results at
+// 2 and 4 threads as at one, from at most 4x the verified pairs. Workers
+// that start at the end of the ascending-size order and prune only
+// against their own queue verify 7-21x the pairs at 2 threads.
+TEST(ParallelJoinTest, TopKPVerifiesAtMostFourTimesOneThread) {
+  const ObjectDatabase db = GenerateDataset(
+      PresetSpec(DatasetKind::kCheckinSparse, 1600, 20160315));
+  double worst[2] = {0.0, 0.0};
+  for (const double eps_loc : {0.001, 0.004}) {
+    for (const double eps_doc : {0.3, 0.4, 0.5}) {
+      TopKQuery query;
+      query.eps_loc = eps_loc;
+      query.eps_doc = eps_doc;
+      query.k = 10;
+      JoinStats one;
+      const auto expected = TopKSTPSJoin(db, query, TopKVariant::kP, &one);
+      ASSERT_GT(one.pairs_verified, 0u);
+      for (const int threads : {2, 4}) {
+        JoinStats par;
+        const auto actual = TopKSTPSJoinParallel(
+            db, query, TopKVariant::kP, ParallelOptions{threads}, &par);
+        EXPECT_TRUE(SameResults(actual, expected, /*tolerance=*/0.0))
+            << "threads=" << threads << " eps_loc=" << eps_loc
+            << " eps_doc=" << eps_doc;
+        EXPECT_LE(par.pairs_verified, 4 * one.pairs_verified)
+            << "threads=" << threads << " eps_loc=" << eps_loc
+            << " eps_doc=" << eps_doc << " one thread verified "
+            << one.pairs_verified;
+        double& w = worst[threads == 2 ? 0 : 1];
+        w = std::max(w, static_cast<double>(par.pairs_verified) /
+                            static_cast<double>(one.pairs_verified));
+      }
+    }
+  }
+  std::printf("TOPK-S-PPJ-P verified pairs, largest ratio to one thread: "
+              "%.2fx at 2 threads, %.2fx at 4\n",
+              worst[0], worst[1]);
 }
 
 // Regression for the candidate-cell dedup in the S-PPJ-F filter: the
@@ -214,7 +258,7 @@ TEST(ParallelJoinTest, InterleavedCandidateCellsAreDeduplicated) {
   for (const int threads : {1, 2, 8}) {
     JoinStats par_stats;
     const auto parallel = SPPJFParallel(
-        db, query, ParallelOptions{threads, 1}, &par_stats);
+        db, query, ParallelOptions{threads}, &par_stats);
     EXPECT_TRUE(SameResults(parallel, sequential, /*tolerance=*/0.0));
     // Identical counters imply both sides saw the same deduplicated
     // supporting-cell sets (a missed dedup shifts pairs_pruned_count).

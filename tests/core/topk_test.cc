@@ -152,7 +152,7 @@ TEST(TopKTest, TiedScoresStraddlingTheCutAreDeterministic) {
        {TopKVariant::kF, TopKVariant::kS, TopKVariant::kP}) {
     EXPECT_TRUE(SameResults(TopKSTPSJoin(db, query, variant), expected));
     for (const int threads : {1, 2, 4, 8}) {
-      const ParallelOptions parallel{threads, 0};
+      const ParallelOptions parallel{threads};
       EXPECT_TRUE(SameResults(
           TopKSTPSJoinParallel(db, query, variant, parallel), expected))
           << "threads=" << threads;
@@ -171,7 +171,7 @@ TEST(TopKTest, TiedScoresStraddlingTheCutAreDeterministic) {
     for (const auto variant :
          {TopKVariant::kF, TopKVariant::kS, TopKVariant::kP}) {
       EXPECT_TRUE(SameResults(TopKSTPSJoin(db, q, variant), want));
-      const ParallelOptions parallel{4, 0};
+      const ParallelOptions parallel{4};
       EXPECT_TRUE(SameResults(TopKSTPSJoinParallel(db, q, variant, parallel),
                               want));
     }

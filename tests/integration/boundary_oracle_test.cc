@@ -212,7 +212,7 @@ TEST_P(BoundaryOracleTest, AllJoinVariantsMatchBruteForce) {
       for (const int threads : {1, 2, 8}) {
         JoinStats sketch_stats;
         ASSERT_TRUE(SameResults(
-            SketchSTPSJoin(db, *sketches, query, ParallelOptions{threads, 0},
+            SketchSTPSJoin(db, *sketches, query, ParallelOptions{threads},
                            &sketch_stats),
             expected, /*tolerance=*/0.0))
             << "sketch threads=" << threads << " seed=" << seed
@@ -257,7 +257,7 @@ TEST_P(BoundaryOracleTest, AllTopKVariantsMatchBruteForce) {
                                   expected, /*tolerance=*/0.0))
               << TopKAlgorithmName(algorithm) << " seed=" << seed
               << " eps_doc=" << eps_doc << " k=" << k;
-          query.parallel = ParallelOptions{4, 0};
+          query.parallel = ParallelOptions{4};
           ASSERT_TRUE(SameResults(RunTopKSTPSJoin(db, query, algorithm),
                                   expected, /*tolerance=*/0.0))
               << "parallel " << TopKAlgorithmName(algorithm)
@@ -272,7 +272,7 @@ TEST_P(BoundaryOracleTest, AllTopKVariantsMatchBruteForce) {
           JoinStats sketch_stats;
           ASSERT_TRUE(SameResults(
               SketchTopKSTPSJoin(db, *sketches, query,
-                                 ParallelOptions{threads, 0}, &sketch_stats),
+                                 ParallelOptions{threads}, &sketch_stats),
               expected, /*tolerance=*/0.0))
               << "sketch threads=" << threads << " seed=" << seed
               << " eps_doc=" << eps_doc << " k=" << k;

@@ -134,7 +134,7 @@ TEST_P(ConsistencyFuzzTest, AllJoinAlgorithmsAgreeOnRandomConfigs) {
     for (const int threads : {1, 2, 8}) {
       JoinStats sketch_stats;
       const auto sketched = SketchSTPSJoin(
-          db, *sketches, query, ParallelOptions{threads, 0}, &sketch_stats);
+          db, *sketches, query, ParallelOptions{threads}, &sketch_stats);
       ASSERT_TRUE(SameResults(sketched, expected, /*tolerance=*/0.0))
           << "sketch threads=" << threads << " seed=" << spec.seed;
       CheckStatsInvariants(sketch_stats,
@@ -226,7 +226,7 @@ TEST(ConsistencyDuplicateLocationsTest, AllAlgorithmsAgree) {
     for (const int threads : {1, 3}) {
       JoinStats sketch_stats;
       ASSERT_TRUE(SameResults(
-          SketchSTPSJoin(db, *sketches, query, ParallelOptions{threads, 0},
+          SketchSTPSJoin(db, *sketches, query, ParallelOptions{threads},
                          &sketch_stats),
           expected, /*tolerance=*/0.0))
           << "sketch threads=" << threads << " eps_doc=" << eps_doc;
@@ -261,7 +261,7 @@ TEST_P(ConsistencyFuzzTest, AllTopKVariantsAgreeOnRandomConfigs) {
       CheckStatsInvariants(stats, /*matches=*/-1,
                            TopKAlgorithmName(algorithm).data());
 
-      query.parallel = ParallelOptions{2 + round % 3, 0};
+      query.parallel = ParallelOptions{2 + round % 3};
       JoinStats parallel_stats;
       const auto parallel =
           RunTopKSTPSJoin(db, query, algorithm, &parallel_stats);
@@ -283,7 +283,7 @@ TEST_P(ConsistencyFuzzTest, AllTopKVariantsAgreeOnRandomConfigs) {
       JoinStats sketch_stats;
       ASSERT_TRUE(SameResults(
           SketchTopKSTPSJoin(db, *sketches, query,
-                             ParallelOptions{threads, 0}, &sketch_stats,
+                             ParallelOptions{threads}, &sketch_stats,
                              heavy_capacity),
           expected, /*tolerance=*/0.0))
           << "sketch threads=" << threads << " seed=" << spec.seed
@@ -295,7 +295,7 @@ TEST_P(ConsistencyFuzzTest, AllTopKVariantsAgreeOnRandomConfigs) {
     // kAuto top-k resolves through the planner; the unique top-k under
     // the TopKBetter order must come back whatever shape it picks.
     for (const int threads : {1, 2, 8}) {
-      query.parallel = ParallelOptions{threads, 0};
+      query.parallel = ParallelOptions{threads};
       ASSERT_TRUE(
           SameResults(RunTopKSTPSJoin(db, query, TopKAlgorithm::kAuto),
                       expected, /*tolerance=*/0.0))

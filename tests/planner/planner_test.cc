@@ -107,7 +107,7 @@ TEST_P(PlannerDifferentialTest, AutoTopKMatchesBruteForce) {
     query.k = 1 + rng.NextBelow(20);
     const auto expected = BruteForceTopK(db, query);
     for (const int threads : {1, 2, 8}) {
-      query.parallel = ParallelOptions{threads, 0};
+      query.parallel = ParallelOptions{threads};
       const auto got = RunTopKSTPSJoin(db, query, TopKAlgorithm::kAuto);
       ASSERT_TRUE(SameResults(got, expected, /*tolerance=*/0.0))
           << "family=" << family << " threads=" << threads
