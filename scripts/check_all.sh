@@ -9,7 +9,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 echo "=== tier-1: Release build + full ctest ==="
 cmake -B "$ROOT/build" -S "$ROOT"
-cmake --build "$ROOT/build" -j
+cmake --build "$ROOT/build" -j "$(nproc)"
 (cd "$ROOT/build" && ctest --output-on-failure)
 
 echo "=== bench smoke: tiny-scale runs + baseline sanity ==="
@@ -20,7 +20,7 @@ echo "=== bench smoke: tiny-scale runs + baseline sanity ==="
 #   scripts/compare_bench.py BENCH_spatial.json /tmp/new.json
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-cmake --build "$ROOT/build" -j --target bench_spatial bench_kernels bench_sketch bench_planner
+cmake --build "$ROOT/build" -j "$(nproc)" --target bench_spatial bench_kernels bench_sketch bench_planner
 "$ROOT/build/bench/bench_spatial" --smoke "$SMOKE_DIR/spatial.json"
 "$ROOT/build/bench/bench_kernels" --smoke "$SMOKE_DIR/kernels.json"
 "$ROOT/build/bench/bench_sketch" --smoke "$SMOKE_DIR/sketch.json"
@@ -78,7 +78,7 @@ echo "=== snapshot robustness: fuzz + mmap differential + io bench ==="
 (cd "$ROOT/build" && \
      ctest --output-on-failure \
          -R 'snapshot_fuzz|mapped_differential|binary_test')
-cmake --build "$ROOT/build" -j --target bench_io
+cmake --build "$ROOT/build" -j "$(nproc)" --target bench_io
 "$ROOT/build/bench/bench_io" --smoke "$SMOKE_DIR/io.json"
 python3 "$ROOT/scripts/compare_bench.py" \
     --require 'mapped_open_speedup>=10' \
@@ -94,13 +94,13 @@ echo "=== update fuzz + server smoke ==="
 # Delta publish gates: splicing unchanged per-user state must beat a full
 # rebuild >= 10x at the 1%-dirty point, and the bench's inline
 # delta-vs-full checksum comparison must have matched on every round.
-cmake --build "$ROOT/build" -j --target bench_update
+cmake --build "$ROOT/build" -j "$(nproc)" --target bench_update
 "$ROOT/build/bench/bench_update" --smoke "$SMOKE_DIR/update.json"
 python3 "$ROOT/scripts/compare_bench.py" \
     --require 'delta_publish_speedup>=10' \
     --require 'delta_full_checksum_match>=1.0' \
     "$ROOT/BENCH_update.json" "$ROOT/BENCH_update.json"
-cmake --build "$ROOT/build" -j --target stps_cli
+cmake --build "$ROOT/build" -j "$(nproc)" --target stps_cli
 python3 "$ROOT/scripts/server_smoke.py" "$ROOT/build/tools/stps_cli"
 
 echo "=== ASan + UBSan ==="
@@ -111,7 +111,7 @@ echo "=== TSan ==="
 
 echo "=== UBSan: boundary-adversarial oracle suite ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DSTPS_UBSAN=ON
-cmake --build "$ROOT/build-ubsan" -j
+cmake --build "$ROOT/build-ubsan" -j "$(nproc)"
 (cd "$ROOT/build-ubsan" && \
      UBSAN_OPTIONS=print_stacktrace=1 \
      ctest --output-on-failure \

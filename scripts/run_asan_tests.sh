@@ -10,7 +10,7 @@ set -eu
 BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DSTPS_ASAN=ON
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # halt_on_error so CI fails fast; detect_leaks catches forgotten arenas in
 # the builders; UBSan prints stacks for every report.

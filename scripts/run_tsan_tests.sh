@@ -8,7 +8,7 @@ set -eu
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DSTPS_TSAN=ON
-cmake --build "$BUILD_DIR" -j --target \
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   thread_pool_test parallel_test consistency_fuzz_test sketch_test \
   planner_test update_test delta_publish_test server_test
 

@@ -11,6 +11,7 @@
 #ifndef STPS_CORE_SPPJ_D_H_
 #define STPS_CORE_SPPJ_D_H_
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -54,6 +55,29 @@ SpatialPartitioning RTreePartitioning(const ObjectDatabase& db, int fanout);
 /// capacity.
 SpatialPartitioning QuadTreePartitioning(const ObjectDatabase& db,
                                          int leaf_capacity);
+
+/// The leaves of u whose objects may match a candidate (my_cells) and the
+/// candidate's own supporting leaves (their_cells): the inputs of the
+/// S-PPJ-D and TOPK-S-PPJ-D sigma_bar bound. The filter loops only drop a
+/// leaf equal to the last one pushed; their_cells interleaves across the
+/// outer leaf loop, so both lists pass through SortUnique before they are
+/// counted.
+struct CandidateCells {
+  std::vector<int64_t> my_cells;
+  std::vector<int64_t> their_cells;
+
+  void Clear() {
+    my_cells.clear();
+    their_cells.clear();
+  }
+};
+
+/// Sorts `*v` ascending and drops duplicates.
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
 
 /// The leaf-level spatio-textual index S-PPJ-D operates on. Exposed so
 /// tests and benchmarks can reuse a built index across queries with the

@@ -12,22 +12,6 @@ namespace stps {
 
 namespace {
 
-// Object count over the supporting cells of a candidate pair — the
-// sigma_bar bound's integer numerator, so the prune decision is the exact
-// SigmaAtLeast predicate, not a rounded quotient.
-size_t SigmaBoundNumerator(const CandidateCells& cells,
-                           const UserLayout& mine,
-                           const UserLayout& theirs) {
-  size_t m = 0;
-  for (const int64_t c : cells.my_cells) {
-    m += PartitionObjectCount(mine, c);
-  }
-  for (const int64_t c : cells.their_cells) {
-    m += PartitionObjectCount(theirs, c);
-  }
-  return m;
-}
-
 // The per-user pass of S-PPJ-F: filter u against the complete index,
 // keeping only earlier users (so each pair is evaluated exactly once,
 // whichever worker runs u), then refine the candidates in ascending id
@@ -42,7 +26,7 @@ void ProcessUser(const ObjectDatabase& db, const UserGrid& grid,
   const size_t nu = db.UserObjectCount(u);
   // Per-worker epoch-stamped accumulator (user_grid.h): starting a user
   // costs O(1), no map rehash or per-call allocation.
-  thread_local UserCandidateTable<CandidateCells> candidates;
+  thread_local UserCandidateTable<CandidateBound> candidates;
   candidates.BeginRound(db.num_users());
   size_t colocated = 0;
   CollectCandidates(grid.geometry(), index, cu, u, &candidates, stats,
@@ -56,24 +40,19 @@ void ProcessUser(const ObjectDatabase& db, const UserGrid& grid,
   }
 
   for (const UserId candidate : candidates.SortedTouched()) {
-    CandidateCells& cells = candidates[candidate];
-    const UserLayout& cv = grid.UserCells(candidate);
     const size_t nv = db.UserObjectCount(candidate);
-    SortUnique(&cells.my_cells);
-    SortUnique(&cells.their_cells);
     // Exact counting predicates throughout (common/predicates.h): the
     // prune and the final membership test must not diverge at pairs whose
     // sigma equals eps_u.
     if (use_sigma_bound &&
-        !SigmaAtLeast(SigmaBoundNumerator(cells, cu, cv), nu + nv,
-                      query.eps_u)) {
+        !SigmaAtLeast(candidates[candidate].m, nu + nv, query.eps_u)) {
       if (stats != nullptr) ++stats->pairs_pruned_count;
       continue;
     }
     if (stats != nullptr) ++stats->pairs_verified;
     size_t matched = 0;
     const double sigma =
-        PPJBPair(cu, nu, cv, nv, grid.geometry(), t,
+        PPJBPair(cu, nu, grid.UserCells(candidate), nv, grid.geometry(), t,
                  use_refine_bound ? query.eps_u : 0.0, stats, &matched);
     if (SigmaAtLeast(matched, nu + nv, query.eps_u)) {
       out->push_back({candidate, u, sigma});

@@ -106,8 +106,8 @@ size_t EstimateMatchableObjects(const GridGeometry& geometry,
       if (slot == SpatioTextualGridIndex::kNoSlot) continue;
       if (index.Rank(index.CellUsers(slot).front()) >= rank_u) continue;
       index.ForEachSharedToken(
-          slot, tokens, [&](size_t i, std::span<const UserId> users) {
-            if (index.Rank(users.front()) < rank_u) {
+          slot, tokens, [&](size_t i, std::span<const uint32_t> positions) {
+            if (index.Rank(index.PositionUser(positions.front())) < rank_u) {
               matchable[i] = 1;
               any = true;
             }
@@ -163,7 +163,7 @@ class SharedResultQueue {
   std::atomic<double> threshold_{0.0};
 };
 
-// Refines u's candidates against `queue`: the sigma_bar count bound once
+// Refines u's candidates against `queue`: the counted sigma_bar bound once
 // the queue is full (exact SigmaAtLeast, so a candidate that can still
 // *tie* the tail score survives and Offer settles it on the id order),
 // then the PPJ-B kernel with the queue threshold as eps_u — whose integer
@@ -173,35 +173,23 @@ class SharedResultQueue {
 void RefineCandidates(const ObjectDatabase& db, const UserGrid& grid,
                       const MatchThresholds& t, UserId u,
                       const UserLayout& cu, size_t nu,
-                      UserCandidateTable<CandidateCells>* candidates,
+                      UserCandidateTable<CandidateBound>* candidates,
                       SharedResultQueue* queue, JoinStats* stats) {
   if (stats != nullptr) stats->pairs_candidate += candidates->size();
   for (const UserId candidate : candidates->SortedTouched()) {
-    CandidateCells& cells = (*candidates)[candidate];
-    const UserLayout& cv = grid.UserCells(candidate);
     const size_t nv = db.UserObjectCount(candidate);
     const double eps_u = queue->Threshold();
-    if (eps_u > 0.0) {
-      SortUnique(&cells.my_cells);
-      SortUnique(&cells.their_cells);
-      size_t m = 0;
-      for (const int64_t c : cells.my_cells) {
-        m += PartitionObjectCount(cu, c);
-      }
-      for (const int64_t c : cells.their_cells) {
-        m += PartitionObjectCount(cv, c);
-      }
-      // Prune only when sigma_bar is exactly below the tail score: the
-      // rounded quotient m / (nu + nv) could dip one ULP under eps_u for
-      // a pair whose bound equals it, dropping a legitimate tie.
-      if (!SigmaAtLeast(m, nu + nv, eps_u)) {
-        if (stats != nullptr) ++stats->pairs_pruned_count;
-        continue;
-      }
+    // Prune only when sigma_bar is exactly below the tail score: the
+    // rounded quotient m / (nu + nv) could dip one ULP under eps_u for a
+    // pair whose bound equals it, dropping a legitimate tie.
+    if (eps_u > 0.0 &&
+        !SigmaAtLeast((*candidates)[candidate].m, nu + nv, eps_u)) {
+      if (stats != nullptr) ++stats->pairs_pruned_count;
+      continue;
     }
     if (stats != nullptr) ++stats->pairs_verified;
-    const double sigma =
-        PPJBPair(cu, nu, cv, nv, grid.geometry(), t, eps_u, stats);
+    const double sigma = PPJBPair(cu, nu, grid.UserCells(candidate), nv,
+                                  grid.geometry(), t, eps_u, stats);
     if (sigma <= 0.0) continue;
     if (stats != nullptr) ++stats->matches_found;
     queue->Offer({std::min(u, candidate), std::max(u, candidate), sigma});
@@ -267,7 +255,7 @@ std::vector<ScoredUserPair> TopKSTPSJoinParallel(
           }
         }
 
-        thread_local UserCandidateTable<CandidateCells> candidates;
+        thread_local UserCandidateTable<CandidateBound> candidates;
         candidates.BeginRound(db.num_users());
         CollectCandidates(grid.geometry(), index, cu, rank_u, &candidates,
                           ws);

@@ -6,15 +6,6 @@
 
 namespace stps {
 
-namespace {
-
-// A UserCandidateTable value for counting distinct users only.
-struct NoCells {
-  void Clear() {}
-};
-
-}  // namespace
-
 UserLayout MakeUserLayout(
     std::span<const std::pair<int64_t, ObjectRef>> keyed) {
   UserLayout layout;
@@ -172,12 +163,14 @@ SpatioTextualGridIndex::SpatioTextualGridIndex(
     return begin;
   };
 
-  // Pass 2: counting sorts by slot. Users land in processing order; token
-  // occurrences as (token, rank) keys, so sorting a cell's run groups it
-  // by token with each group in processing order.
+  // Pass 2: counting sorts by slot. Users land in processing order, each
+  // at its position with its object count; token occurrences as (token,
+  // position) keys, so sorting a cell's run groups it by token with each
+  // group in processing order.
   cell_user_begin_ = exclusive_prefix(user_count);
   std::vector<uint32_t> key_begin = exclusive_prefix(key_count);
   cell_users_.resize(pairs);
+  cell_objects_.resize(pairs);
   std::vector<uint64_t> keys(key_begin[num_slots]);
   std::vector<uint32_t>& user_cursor = user_count;  // reused as cursors
   std::vector<uint32_t>& key_cursor = key_count;
@@ -188,10 +181,13 @@ SpatioTextualGridIndex::SpatioTextualGridIndex(
   for (uint32_t r = 0; r < n; ++r) {
     for (const UserPartition& cell : grid.UserCells(order[r])) {
       const uint32_t slot = pair_slot[p++];
-      cell_users_[user_cursor[slot]++] = order[r];
+      const uint32_t position = user_cursor[slot]++;
+      cell_users_[position] = order[r];
+      cell_objects_[position] = static_cast<uint32_t>(cell.objects.size());
       for (const ObjectRef& ref : cell.objects) {
         for (const TokenId t : ref.object->doc) {
-          keys[key_cursor[slot]++] = (static_cast<uint64_t>(t) << 32) | r;
+          keys[key_cursor[slot]++] =
+              (static_cast<uint64_t>(t) << 32) | position;
         }
       }
     }
@@ -213,36 +209,39 @@ SpatioTextualGridIndex::SpatioTextualGridIndex(
   }
   key_begin[num_slots] = static_cast<uint32_t>(kept);
 
-  // One token entry per distinct (cell, token); entry_users_ is the
-  // compacted key array with each rank mapped back to its user.
+  // One token entry per distinct (cell, token); entry_positions_ is the
+  // compacted key array without the tokens.
   cell_token_begin_.assign(num_slots + 1, 0);
-  entry_users_.resize(kept);
+  entry_positions_.resize(kept);
   for (size_t s = 0; s < num_slots; ++s) {
     cell_token_begin_[s] = static_cast<uint32_t>(tokens_.size());
     for (uint32_t k = key_begin[s]; k < key_begin[s + 1]; ++k) {
       const TokenId t = static_cast<TokenId>(keys[k] >> 32);
       if (k == key_begin[s] || t != tokens_.back()) {
         tokens_.push_back(t);
-        entry_user_begin_.push_back(k);
+        entry_begin_.push_back(k);
       }
-      entry_users_[k] = order[static_cast<uint32_t>(keys[k])];
+      entry_positions_[k] = static_cast<uint32_t>(keys[k]);
     }
   }
   cell_token_begin_[num_slots] = static_cast<uint32_t>(tokens_.size());
-  entry_user_begin_.push_back(static_cast<uint32_t>(kept));
+  entry_begin_.push_back(static_cast<uint32_t>(kept));
 }
 
 void CollectCandidates(const GridGeometry& geometry,
                        const SpatioTextualGridIndex& index,
                        const UserLayout& cu, uint32_t rank_u,
-                       UserCandidateTable<CandidateCells>* candidates,
+                       UserCandidateTable<CandidateBound>* candidates,
                        JoinStats* stats, size_t* colocated) {
   // Hoisted per-thread scratch: this runs once per probing user in every
-  // driver. The stamped table counts distinct co-located users without
-  // sorting the duplicate-heavy cell lists.
+  // driver. `counted` holds the (cell, candidate) positions already in a
+  // candidate's bound; `nearby` the distinct co-located users.
   thread_local std::vector<CellId> neighbors;
   thread_local TokenVector tokens;
-  thread_local UserCandidateTable<NoCells> nearby;
+  thread_local RoundStampSet counted;
+  thread_local RoundStampSet nearby;
+  counted.BeginRound(index.num_positions());
+  size_t num_nearby = 0;
   if (colocated != nullptr) nearby.BeginRound(index.num_users());
   for (const UserPartition& cell : cu) {
     DistinctTokens(cell.objects, &tokens);
@@ -258,29 +257,29 @@ void CollectCandidates(const GridGeometry& geometry,
       if (colocated != nullptr) {
         for (const UserId v : cell_users) {
           if (index.Rank(v) >= rank_u) break;
-          (void)nearby[v];
+          if (nearby.Insert(v)) ++num_nearby;
         }
       }
       index.ForEachSharedToken(
-          slot, tokens, [&](size_t, std::span<const UserId> users) {
-            for (const UserId candidate : users) {
+          slot, tokens, [&](size_t, std::span<const uint32_t> positions) {
+            for (const uint32_t p : positions) {
+              const UserId candidate = index.PositionUser(p);
               if (index.Rank(candidate) >= rank_u) break;
-              CandidateCells& cc = (*candidates)[candidate];
-              // Cells of u arrive in ascending order, so a back() check
-              // fully deduplicates my_cells; their_cells interleaves, so
-              // the check only limits growth — the refine step's
-              // SortUnique is the authoritative dedup for both.
-              if (cc.my_cells.empty() || cc.my_cells.back() != cell.id) {
-                cc.my_cells.push_back(cell.id);
+              CandidateBound& bound = (*candidates)[candidate];
+              // u's cells arrive in ascending order, so comparing with the
+              // last one counted dedups u's side. The candidate's cells
+              // interleave across that loop; its (cell, user) position
+              // dedups them.
+              if (bound.last_cell != cell.id) {
+                bound.last_cell = cell.id;
+                bound.m += cell.objects.size();
               }
-              if (cc.their_cells.empty() || cc.their_cells.back() != other) {
-                cc.their_cells.push_back(other);
-              }
+              if (counted.Insert(p)) bound.m += index.PositionObjectCount(p);
             }
           });
     }
   }
-  if (colocated != nullptr) *colocated = nearby.size();
+  if (colocated != nullptr) *colocated = num_nearby;
 }
 
 }  // namespace stps

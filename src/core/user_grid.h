@@ -133,17 +133,6 @@ TokenVector DistinctTokens(std::span<const ObjectRef> objects);
 /// avoid one allocation per partition.
 void DistinctTokens(std::span<const ObjectRef> objects, TokenVector* out);
 
-/// Sorts `*v` ascending and drops duplicates. The single authoritative
-/// dedup for candidate cell/leaf bookkeeping: the filter loops only
-/// perform an opportunistic back() check to limit growth, so supporting
-/// cell lists MUST pass through here before being counted into the
-/// sigma_bar bound (interleaved cell visits leave interior duplicates).
-template <typename T>
-void SortUnique(std::vector<T>* v) {
-  std::sort(v->begin(), v->end());
-  v->erase(std::unique(v->begin(), v->end()), v->end());
-}
-
 /// One element of the merged traversal over two users' partition lists.
 struct MergedPartition {
   int64_t id = 0;
@@ -173,17 +162,45 @@ inline std::span<const ObjectRef> PartitionObjects(const UserPartition* p) {
   return p == nullptr ? std::span<const ObjectRef>() : p->objects;
 }
 
-/// The cells of u whose objects may match a candidate (my_cells) and the
-/// candidate's own supporting cells (their_cells) — the inputs of the
-/// sigma_bar count bound. Shared by the S-PPJ-F/-D filters and the top-k
-/// drivers (partition ids are cell ids or leaf ordinals alike).
-struct CandidateCells {
-  std::vector<int64_t> my_cells;
-  std::vector<int64_t> their_cells;
+/// A set over the dense universe 0 .. size - 1 that empties in O(1): an
+/// element is in the set while its stamp equals the current round, so
+/// starting a round only bumps the counter (the stamps are refilled when
+/// it wraps around).
+class RoundStampSet {
+ public:
+  /// Starts a new, empty round over a universe of at least `size`.
+  void BeginRound(size_t size) {
+    if (stamp_.size() < size) stamp_.resize(size, 0);
+    if (++round_ == 0) {  // stamp wraparound: invalidate everything
+      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      round_ = 1;
+    }
+  }
+
+  /// Adds `i`; true when it was not yet in the set this round.
+  bool Insert(size_t i) {
+    STPS_DCHECK(i < stamp_.size());
+    if (stamp_[i] == round_) return false;
+    stamp_[i] = round_;
+    return true;
+  }
+
+ private:
+  uint32_t round_ = 0;
+  std::vector<uint32_t> stamp_;
+};
+
+/// The sigma_bar bound of one S-PPJ-F / top-k candidate v of the probing
+/// user u, counted by CollectCandidates: `m` is the number of objects of
+/// u and v in the pair's supporting cells, the bound's integer numerator.
+/// `last_cell` is the last cell of u counted into `m`.
+struct CandidateBound {
+  CellId last_cell = -1;
+  size_t m = 0;
 
   void Clear() {
-    my_cells.clear();
-    their_cells.clear();
+    last_cell = -1;
+    m = 0;
   }
 };
 
@@ -198,22 +215,14 @@ class UserCandidateTable {
  public:
   /// Starts a new round for a universe of `num_users` users.
   void BeginRound(size_t num_users) {
-    if (stamp_.size() < num_users) {
-      stamp_.resize(num_users, 0);
-      values_.resize(num_users);
-    }
+    stamps_.BeginRound(num_users);
+    if (values_.size() < num_users) values_.resize(num_users);
     touched_.clear();
-    if (++round_ == 0) {  // stamp wraparound: invalidate everything
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
-      round_ = 1;
-    }
   }
 
   /// The value slot of user `u`, cleared on first touch this round.
   V& operator[](UserId u) {
-    STPS_DCHECK(u < stamp_.size());
-    if (stamp_[u] != round_) {
-      stamp_[u] = round_;
+    if (stamps_.Insert(u)) {
       values_[u].Clear();
       touched_.push_back(u);
     }
@@ -230,8 +239,7 @@ class UserCandidateTable {
   }
 
  private:
-  uint32_t round_ = 0;
-  std::vector<uint32_t> stamp_;
+  RoundStampSet stamps_;
   std::vector<V> values_;
   std::vector<UserId> touched_;
 };
@@ -242,11 +250,15 @@ class UserCandidateTable {
 /// An open-addressing table maps each occupied CellId to a dense slot;
 /// two counting sorts by slot (and a sort of each cell's short token run)
 /// lay out the CSR arrays slot -> users, slot -> sorted distinct tokens,
-/// and token entry -> users. Every user
-/// list is in processing order (`order` at construction), so a probe that
-/// wants only the users processed before u stops at the first entry whose
-/// Rank() reaches u's. With that earlier-user cut the complete index
-/// yields exactly the candidates of Algorithm 2's incremental index.
+/// and token entry -> positions. A position is one (cell, user) pair: the
+/// index of that user in the flat array behind CellUsers. Each position
+/// also carries |Dv_c|, the user's object count in the cell, so a filter
+/// sums the sigma_bar numerator without looking the cell up in Cv.
+///
+/// Every user list is in processing order (`order` at construction), so a
+/// probe that wants only the users processed before u stops at the first
+/// entry whose Rank() reaches u's. With that earlier-user cut the complete
+/// index yields exactly the candidates of Algorithm 2's incremental index.
 class SpatioTextualGridIndex {
  public:
   /// FindCell's answer for a cell holding no object.
@@ -281,21 +293,30 @@ class SpatioTextualGridIndex {
     return Range(cell_users_, cell_user_begin_, slot);
   }
 
+  /// Number of (cell, user) positions.
+  size_t num_positions() const { return cell_users_.size(); }
+
+  /// The user at position `p`.
+  UserId PositionUser(uint32_t p) const { return cell_users_[p]; }
+
+  /// |Dv_c| of the (cell, user) pair at position `p`.
+  uint32_t PositionObjectCount(uint32_t p) const { return cell_objects_[p]; }
+
   /// The distinct tokens of the slot's cell, ascending.
   std::span<const TokenId> CellTokens(uint32_t slot) const {
     return Range(tokens_, cell_token_begin_, slot);
   }
 
-  /// The users (in processing order) having an object in the slot's cell
-  /// that carries CellTokens(slot)[i].
-  std::span<const UserId> TokenUsers(uint32_t slot, size_t i) const {
-    return Range(entry_users_, entry_user_begin_,
+  /// The positions (ascending, so in processing order) of the slot's users
+  /// having an object in the cell that carries CellTokens(slot)[i].
+  std::span<const uint32_t> TokenPositions(uint32_t slot, size_t i) const {
+    return Range(entry_positions_, entry_begin_,
                  cell_token_begin_[slot] + static_cast<uint32_t>(i));
   }
 
   /// Merges the ascending `tokens` with the slot's token run: calls
-  /// fn(i, users) for every tokens[i] that also occurs in the cell, in
-  /// ascending order, with that token's TokenUsers.
+  /// fn(i, positions) for every tokens[i] that also occurs in the cell, in
+  /// ascending order, with that token's TokenPositions.
   template <typename Fn>
   void ForEachSharedToken(uint32_t slot, std::span<const TokenId> tokens,
                           Fn&& fn) const {
@@ -306,7 +327,7 @@ class SpatioTextualGridIndex {
       it = std::lower_bound(it, end, tokens[i]);
       if (it == end) return;
       if (*it == tokens[i]) {
-        fn(i, TokenUsers(slot, static_cast<size_t>(it - run.data())));
+        fn(i, TokenPositions(slot, static_cast<size_t>(it - run.data())));
       }
     }
   }
@@ -341,26 +362,29 @@ class SpatioTextualGridIndex {
   size_t bucket_mask_ = 0;
   int bucket_shift_ = 0;
   std::vector<uint32_t> rank_;             // user -> processing position
-  std::vector<uint32_t> cell_user_begin_;  // slot -> cell_users_ offset
-  std::vector<UserId> cell_users_;
+  std::vector<uint32_t> cell_user_begin_;  // slot -> first position
+  std::vector<UserId> cell_users_;         // position -> user
+  std::vector<uint32_t> cell_objects_;     // position -> |Dv_c|
   std::vector<uint32_t> cell_token_begin_;  // slot -> tokens_ offset
   std::vector<TokenId> tokens_;             // one token entry each
-  std::vector<uint32_t> entry_user_begin_;  // entry -> entry_users_ offset
-  std::vector<UserId> entry_users_;
+  std::vector<uint32_t> entry_begin_;  // entry -> entry_positions_ offset
+  std::vector<uint32_t> entry_positions_;
 };
 
 /// The S-PPJ-F filter for the user of rank `rank_u`: token-probes each
 /// cell of `cu` against the index over the cell and its neighbours and
-/// records, per user of earlier rank sharing a token, the supporting cells
-/// of both sides. `candidates` must have had BeginRound called for this
-/// user. When `colocated` is non-null it receives the number of distinct
-/// earlier users with any object in those neighbourhoods — the users that
-/// pass the spatial part of the filter, for the JoinStats spatial/textual
-/// breakdown. Shared by S-PPJ-F and the TOPK-S-PPJ-* drivers.
+/// counts, per user of earlier rank sharing a token, the sigma_bar
+/// numerator: the objects of both users in the pair's supporting cells,
+/// each supporting cell counted once. `candidates` must have had
+/// BeginRound called for this user. When `colocated` is non-null it
+/// receives the number of distinct earlier users with any object in those
+/// neighbourhoods — the users that pass the spatial part of the filter,
+/// for the JoinStats spatial/textual breakdown. Shared by S-PPJ-F and the
+/// TOPK-S-PPJ-* drivers.
 void CollectCandidates(const GridGeometry& geometry,
                        const SpatioTextualGridIndex& index,
                        const UserLayout& cu, uint32_t rank_u,
-                       UserCandidateTable<CandidateCells>* candidates,
+                       UserCandidateTable<CandidateBound>* candidates,
                        JoinStats* stats, size_t* colocated = nullptr);
 
 }  // namespace stps

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -153,6 +154,14 @@ std::vector<std::vector<UserId>> ProcessingOrders(const ObjectDatabase& db) {
   return {identity, by_size};
 }
 
+// The users at a run of index positions.
+std::vector<UserId> PositionUsers(const SpatioTextualGridIndex& index,
+                                  std::span<const uint32_t> positions) {
+  std::vector<UserId> users;
+  for (const uint32_t p : positions) users.push_back(index.PositionUser(p));
+  return users;
+}
+
 struct GridIndexCase {
   uint64_t seed;
   double eps_loc;
@@ -209,9 +218,15 @@ TEST_P(SpatioTextualGridIndexTest, ListsEqualNaiveReference) {
       ASSERT_EQ(std::vector<TokenId>(tokens.begin(), tokens.end()),
                 expected_tokens);
       for (size_t i = 0; i < tokens.size(); ++i) {
-        const std::span<const UserId> entry = index.TokenUsers(slot, i);
-        EXPECT_EQ(std::vector<UserId>(entry.begin(), entry.end()),
+        EXPECT_EQ(PositionUsers(index, index.TokenPositions(slot, i)),
                   token_users.at({cell, tokens[i]}));
+        // Each (cell, user) position carries |Dv_c|.
+        for (const uint32_t p : index.TokenPositions(slot, i)) {
+          EXPECT_EQ(
+              index.PositionObjectCount(p),
+              PartitionObjectCount(grid.UserCells(index.PositionUser(p)),
+                                   cell));
+        }
       }
     }
   }
@@ -236,11 +251,10 @@ TEST(SpatioTextualGridIndexCellUsersTest, IncludeTokenlessObjects) {
   EXPECT_EQ(std::vector<UserId>(users.begin(), users.end()),
             (std::vector<UserId>{0, 1}));
   ASSERT_EQ(index.CellTokens(slot).size(), 1u);
-  const std::span<const UserId> cafe_users = index.TokenUsers(slot, 0);
-  EXPECT_EQ(std::vector<UserId>(cafe_users.begin(), cafe_users.end()),
+  EXPECT_EQ(PositionUsers(index, index.TokenPositions(slot, 0)),
             (std::vector<UserId>{0}));
   // The co-location count sees "a" from "b"; the token probe does not.
-  UserCandidateTable<CandidateCells> candidates;
+  UserCandidateTable<CandidateBound> candidates;
   candidates.BeginRound(db.num_users());
   size_t colocated = 0;
   CollectCandidates(grid.geometry(), index, grid.UserCells(1), 1,
@@ -276,6 +290,63 @@ TEST_P(SpatioTextualGridIndexTest, FindCellMissesAbsentIds) {
       if (occupied.count(n) == 0) {
         EXPECT_EQ(index.FindCell(n), kNone);
       }
+    }
+  }
+}
+
+// CollectCandidates' counted sigma_bar numerator against the set-based
+// one: for every earlier user v sharing a token with u in adjacent cells,
+// the distinct supporting cells of both sides, summed as object counts.
+// A candidate's cells arrive interleaved across u's cells, so a count
+// that did not dedup them per (cell, user) would overshoot here.
+TEST_P(SpatioTextualGridIndexTest, CountedBoundEqualsSupportingCellSums) {
+  const ObjectDatabase db = BuildDb();
+  const UserGrid grid(db, GetParam().eps_loc);
+  const GridGeometry& geometry = grid.geometry();
+  std::vector<CellId> neighbors;
+  UserCandidateTable<CandidateBound> candidates;
+  for (const std::vector<UserId>& order : ProcessingOrders(db)) {
+    const SpatioTextualGridIndex index(grid, order);
+    for (uint32_t r = 0; r < order.size(); ++r) {
+      const UserLayout& cu = grid.UserCells(order[r]);
+      // v -> (supporting cells of u, supporting cells of v).
+      std::map<UserId, std::pair<std::set<CellId>, std::set<CellId>>> support;
+      for (const UserPartition& cell : cu) {
+        const TokenVector mine = DistinctTokens(cell.objects);
+        neighbors.clear();
+        geometry.AppendNeighborhood(cell.id, /*include_self=*/true,
+                                    &neighbors);
+        for (uint32_t rv = 0; rv < r; ++rv) {
+          for (const CellId other : neighbors) {
+            const UserPartition* theirs =
+                FindPartition(grid.UserCells(order[rv]), other);
+            if (theirs == nullptr) continue;
+            const TokenVector tokens = DistinctTokens(theirs->objects);
+            std::vector<TokenId> shared;
+            std::set_intersection(mine.begin(), mine.end(), tokens.begin(),
+                                  tokens.end(), std::back_inserter(shared));
+            if (shared.empty()) continue;
+            support[order[rv]].first.insert(cell.id);
+            support[order[rv]].second.insert(other);
+          }
+        }
+      }
+      std::map<UserId, size_t> expected;
+      for (const auto& [v, cells] : support) {
+        size_t m = 0;
+        for (const CellId c : cells.first) m += PartitionObjectCount(cu, c);
+        for (const CellId c : cells.second) {
+          m += PartitionObjectCount(grid.UserCells(v), c);
+        }
+        expected[v] = m;
+      }
+      candidates.BeginRound(db.num_users());
+      CollectCandidates(geometry, index, cu, r, &candidates, nullptr);
+      std::map<UserId, size_t> counted;
+      for (const UserId v : candidates.SortedTouched()) {
+        counted[v] = candidates[v].m;
+      }
+      EXPECT_EQ(counted, expected) << "rank " << r;
     }
   }
 }

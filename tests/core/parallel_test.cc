@@ -228,14 +228,14 @@ TEST(ParallelJoinTest, TopKPVerifiesAtMostFourTimesOneThread) {
               worst[0], worst[1]);
 }
 
-// Regression for the candidate-cell dedup in the S-PPJ-F filter: the
+// Regression for the supporting-cell dedup in the S-PPJ-F filter: the
 // probing user's cells are processed in ascending order, but a
-// candidate's supporting cells (their_cells) arrive interleaved across
-// that outer loop, so a last-element check alone leaves duplicates and
-// would inflate the sigma_bar count bound. Layout (eps_loc = 0.1, so
+// candidate's supporting cells arrive interleaved across that outer
+// loop, so a last-cell check alone would count a cell twice and inflate
+// the sigma_bar count bound. Layout (eps_loc = 0.1, so
 // cells are 0.1 wide): the candidate sits in cells (0,0) and (2,0); the
 // prober's cell (1,0) pulls both in, then its cell (0,1) pulls (0,0) in
-// again -> their_cells sequence (0,0), (2,0), (0,0).
+// again -> the candidate's cells arrive as (0,0), (2,0), (0,0).
 TEST(ParallelJoinTest, InterleavedCandidateCellsAreDeduplicated) {
   DatabaseBuilder builder;
   const auto add = [&builder](const char* user, double x, double y,
@@ -260,8 +260,8 @@ TEST(ParallelJoinTest, InterleavedCandidateCellsAreDeduplicated) {
     const auto parallel = SPPJFParallel(
         db, query, ParallelOptions{threads}, &par_stats);
     EXPECT_TRUE(SameResults(parallel, sequential, /*tolerance=*/0.0));
-    // Identical counters imply both sides saw the same deduplicated
-    // supporting-cell sets (a missed dedup shifts pairs_pruned_count).
+    // Identical counters imply both sides counted the same deduplicated
+    // supporting cells (a missed dedup shifts pairs_pruned_count).
     EXPECT_EQ(par_stats, seq_stats) << "threads=" << threads;
   }
 }

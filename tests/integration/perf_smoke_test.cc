@@ -11,6 +11,7 @@
 #include "core/sppj_c.h"
 #include "core/sppj_f.h"
 #include "core/stpsjoin.h"
+#include "core/topk.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "sketch/sketch.h"
@@ -65,6 +66,52 @@ TEST(PerfSmokeTest, SigmaBarFilterActuallyPrunes) {
       << "sigma_bar bound stopped pruning: " << with_stats.pairs_verified
       << " verifications with vs " << without_stats.pairs_verified
       << " without";
+}
+
+TEST(PerfSmokeTest, SweepWorkCountersArePinned) {
+  // perfbench sweep_sparse's 12 queries on its base corpus, at one thread,
+  // through the explicit S-PPJ-F and TOPK-S-PPJ-P. The counters are exact
+  // on any machine, so they pin the filter's work itself: a filter that
+  // lets more pairs through or a looser sigma_bar bound moves them even
+  // when every result stays right.
+  struct Pinned {
+    bool topk;
+    double eps_loc;
+    double eps;  // eps_doc, and eps_u for joins
+    uint64_t candidate, pruned_count, verified, cells_visited, matches;
+  };
+  const Pinned kPinned[] = {
+      {false, 0.001, 0.3, 26268, 25561, 707, 110792, 173},
+      {true, 0.001, 0.3, 735, 637, 98, 8379, 47},
+      {false, 0.001, 0.4, 26268, 26087, 181, 108012, 81},
+      {true, 0.001, 0.4, 735, 637, 98, 8377, 36},
+      {false, 0.001, 0.5, 26268, 26115, 153, 107884, 81},
+      {true, 0.001, 0.5, 735, 637, 98, 8377, 36},
+      {false, 0.004, 0.3, 50475, 48908, 1567, 114162, 534},
+      {true, 0.004, 0.3, 1212, 1059, 153, 7153, 92},
+      {false, 0.004, 0.4, 50475, 50141, 334, 107051, 101},
+      {true, 0.004, 0.4, 1212, 1059, 153, 7471, 57},
+      {false, 0.004, 0.5, 50475, 50230, 245, 106650, 100},
+      {true, 0.004, 0.5, 1212, 1059, 153, 7471, 57},
+  };
+  const ObjectDatabase db = GenerateDataset(
+      PresetSpec(DatasetKind::kCheckinSparse, 1600, 20160315));
+  for (const Pinned& p : kPinned) {
+    SCOPED_TRACE(testing::Message() << (p.topk ? "topk" : "join") << " "
+                                    << p.eps_loc << " " << p.eps);
+    JoinStats stats;
+    if (p.topk) {
+      TopKSTPSJoin(db, TopKQuery{p.eps_loc, p.eps, 10}, TopKVariant::kP,
+                   &stats);
+    } else {
+      SPPJF(db, STPSQuery{p.eps_loc, p.eps, p.eps}, &stats);
+    }
+    EXPECT_EQ(stats.pairs_candidate, p.candidate);
+    EXPECT_EQ(stats.pairs_pruned_count, p.pruned_count);
+    EXPECT_EQ(stats.pairs_verified, p.verified);
+    EXPECT_EQ(stats.cells_visited, p.cells_visited);
+    EXPECT_EQ(stats.matches_found, p.matches);
+  }
 }
 
 TEST(PerfSmokeTest, SketchCandidatesUndercutVerifyEverythingBaseline) {
